@@ -12,26 +12,10 @@ from .kmers import (
     enumerate_kmers,
     reverse_complement,
 )
-from .mphf import NOT_FOUND, Mphf, build_mphf, mphf_query
-from .quasidict import (
-    NOT_INDEXED,
-    QuasiDictionary,
-    create_quasi_dictionary,
-    fingerprint,
-    load_index,
-    save_index,
-)
-from .counter import AbundanceRecord, build_count_index, estimate_read_abundance, run_src_counter
-from .linker import (
-    DiskIdTable,
-    MatchRecord,
-    ReadIdTable,
-    build_disk_id_index,
-    build_id_index,
-    query_disk,
-    query_read_similarity,
-    run_src_linker,
-)
+from .mphf import NOT_FOUND, Mphf
+from .quasidict import NOT_INDEXED, QuasiDictionary, build_bank_index, fingerprint, load_index
+from .counter import AbundanceRecord, build_count_table, estimate_batch, run_src_counter
+from .linker import DiskIdTable, MatchRecord, ReadIdTable, run_src_linker
 from .seqio import ReadRecord, ReadStream, open_reads
 
 __all__ = [
@@ -48,24 +32,17 @@ __all__ = [
     "ReadRecord",
     "ReadStream",
     "SolidKmerSet",
-    "build_count_index",
-    "build_disk_id_index",
-    "build_id_index",
-    "build_mphf",
+    "build_bank_index",
+    "build_count_table",
     "canonicalize",
     "count_solid_kmers",
-    "create_quasi_dictionary",
     "encode_kmer",
     "enumerate_kmers",
-    "estimate_read_abundance",
+    "estimate_batch",
     "fingerprint",
     "load_index",
-    "mphf_query",
     "open_reads",
-    "query_disk",
-    "query_read_similarity",
     "reverse_complement",
     "run_src_counter",
     "run_src_linker",
-    "save_index",
 ]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .kmers import MAX_K, SolidKmerSet, canonicalize_batch
 from .mphf import DEFAULT_GAMMA, DEFAULT_MASTER_SEED
-from .quasidict import create_quasi_dictionary
+from .quasidict import QuasiDictionary
 
 DEFAULT_SIZES = (10_000, 100_000, 1_000_000, 10_000_000)
 DEFAULT_ALIENS = 1_000_000
@@ -85,7 +85,7 @@ def bench_quasidict_worker(
     counts = np.broadcast_to(np.uint64(1), n)  # stride-0 view, no allocation
     solid = SolidKmerSet(k, 1, keys, counts, n)
     w0, c0 = time.perf_counter(), time.process_time()
-    qd = create_quasi_dictionary(solid, f, gamma=gamma, master_seed=seed)
+    qd = QuasiDictionary.create(solid, f, gamma=gamma, master_seed=seed)
     build_s, build_cpu = time.perf_counter() - w0, time.process_time() - c0
 
     probe = keys[: min(n, DEFAULT_ALIENS)]

@@ -17,17 +17,6 @@ def popcount(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words)
 
 
-def zeros_bits(n_bits: int) -> np.ndarray:
-    """Zeroed bitvector able to hold n_bits bits."""
-    return np.zeros((n_bits + WORD_BITS - 1) // WORD_BITS, dtype=U64)
-
-
-def set_bits(words: np.ndarray, positions: np.ndarray) -> None:
-    """Set bits at the given positions (duplicates allowed)."""
-    pos = positions.astype(np.uint64, copy=False)
-    np.bitwise_or.at(words, (pos >> U64(6)).astype(np.int64), _ONE << (pos & _WORD_MASK))
-
-
 def bits_from_bool(mask: np.ndarray) -> np.ndarray:
     """Bitvector words from a dense boolean mask (bit i = mask[i])."""
     packed = np.packbits(mask, bitorder="little")

@@ -8,10 +8,10 @@ from pathlib import Path
 from . import __version__
 from .bench import CSV_COLUMNS, DEFAULT_SIZES, run_bench
 from .counter import build_count_table, run_src_counter
-from .kmers import DEFAULT_MEMORY_BUDGET, MAX_K, count_solid_kmers
+from .kmers import DEFAULT_MEMORY_BUDGET, MAX_K
 from .linker import DEFAULT_MIN_SHARED, run_src_linker
 from .mphf import DEFAULT_GAMMA, DEFAULT_MASTER_SEED
-from .quasidict import create_quasi_dictionary, load_index
+from .quasidict import build_bank_index, load_index
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -125,47 +125,46 @@ def _require_bank(args):
         raise FileNotFoundError(f"bank file not found: {args.bank}")
 
 
+def _build(args, k, t, f):
+    _require_bank(args)
+    return build_bank_index(
+        args.bank, k, t, f, gamma=args.gamma, master_seed=args.seed,
+        memory_budget=args.memory_budget, tmp_dir=args.tmp_dir,
+    )
+
+
 def cmd_index(args) -> int:
     k, t, f = _resolve_params(args, default_f=12)
-    _require_bank(args)
-    solid = count_solid_kmers(
-        args.bank, k, t, memory_budget=args.memory_budget, tmp_dir=args.tmp_dir
-    )
-    qd = create_quasi_dictionary(solid, f, gamma=args.gamma, master_seed=args.seed)
+    qd, solid = _build(args, k, t, f)
     qd.save(args.out, build_count_table(qd, solid.codes, solid.counts))
     return EXIT_OK
 
 
 def cmd_count(args) -> int:
     k, t, f = _resolve_params(args, default_f=8)
-    prebuilt = None
     if args.index:
         qd, counts = _load_prebuilt(args, k, f)
         if counts is None:
             raise ValueError(f"{args.index}: index carries no count table")
-        prebuilt = (qd, counts)
     else:
-        _require_bank(args)
-    run_src_counter(
-        args.bank, args.query, k, t, f, args.out,
-        threads=max(args.threads, 1), gamma=args.gamma, master_seed=args.seed,
-        memory_budget=args.memory_budget, tmp_dir=args.tmp_dir, prebuilt=prebuilt,
-    )
+        qd, solid = _build(args, k, t, f)
+        counts = build_count_table(qd, solid.codes, solid.counts)
+        del solid
+    run_src_counter(qd, counts, args.query, args.out, t, threads=max(args.threads, 1))
     return EXIT_OK
 
 
 def cmd_link(args) -> int:
     k, t, f = _resolve_params(args, default_f=12)
-    prebuilt_qd = None
     if args.index:
-        prebuilt_qd, _ = _load_prebuilt(args, k, f)
+        qd = _load_prebuilt(args, k, f)[0]
+    else:
+        qd = _build(args, k, t, f)[0]  # the solid set is dropped before the id table is built
     _require_bank(args)  # the id table is always rebuilt from the bank reads
     run_src_linker(
-        args.bank, args.query, k, t, f, args.out,
+        qd, args.bank, args.query, args.out, t,
         min_shared=args.min_shared, mode=args.mode, threads=max(args.threads, 1),
-        no_self=args.no_self, gamma=args.gamma, master_seed=args.seed,
-        memory_budget=args.memory_budget, tmp_dir=args.tmp_dir,
-        prebuilt_qd=prebuilt_qd, sidecar_path=args.sidecar,
+        no_self=args.no_self, tmp_dir=args.tmp_dir, sidecar_path=args.sidecar,
     )
     return EXIT_OK
 

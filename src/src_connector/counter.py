@@ -6,16 +6,14 @@ counts of all its indexed k-mers (overlaps included) and reports their
 mean, median, min and max.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .kmers import DEFAULT_MEMORY_BUDGET, count_solid_kmers, encode_reads
-from .mphf import DEFAULT_GAMMA, DEFAULT_MASTER_SEED
-from .quasidict import QuasiDictionary, create_quasi_dictionary
-from .seqio import ReadRecord, read_batches
+from .kmers import encode_reads
+from .quasidict import QuasiDictionary
+from .seqio import ReadRecord, ordered_map, read_batches
 
 COUNT_SATURATION = 255
 DEFAULT_BATCH_READS = 4096  # fixed so output is identical for any thread count
@@ -45,22 +43,6 @@ def build_count_table(qd: QuasiDictionary, solid_codes: np.ndarray, solid_counts
         idx = qd.query_batch(solid_codes)
         counts[idx] = np.minimum(solid_counts, np.uint64(COUNT_SATURATION)).astype(np.uint8)
     return counts
-
-
-def build_count_index(
-    bank,
-    k: int,
-    t: int,
-    f: int,
-    gamma: float = DEFAULT_GAMMA,
-    master_seed: int = DEFAULT_MASTER_SEED,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-    tmp_dir: str | None = None,
-) -> tuple[QuasiDictionary, np.ndarray]:
-    """Index a bank (path or iterable of reads) for abundance queries."""
-    solid = count_solid_kmers(bank, k, t, memory_budget=memory_budget, tmp_dir=tmp_dir)
-    qd = create_quasi_dictionary(solid, f, gamma=gamma, master_seed=master_seed)
-    return qd, build_count_table(qd, solid.codes, solid.counts)
 
 
 def _records_from_batch(
@@ -102,49 +84,25 @@ def estimate_batch(
     return _records_from_batch([r.id for r in batch], per_read)
 
 
-def estimate_read_abundance(
-    qd: QuasiDictionary, counts: np.ndarray, read: ReadRecord
-) -> AbundanceRecord:
-    return estimate_batch(qd, counts, [read])[0]
-
-
 def run_src_counter(
-    bank_path: str | Path | None,
+    qd: QuasiDictionary,
+    counts: np.ndarray,
     query_path: str | Path,
-    k: int,
-    t: int,
-    f: int,
     out_path: str | Path,
+    t: int,
     threads: int = 1,
-    gamma: float = DEFAULT_GAMMA,
-    master_seed: int = DEFAULT_MASTER_SEED,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-    tmp_dir: str | None = None,
-    prebuilt: tuple[QuasiDictionary, np.ndarray] | None = None,
 ) -> None:
-    """Stream query reads and write one abundance record per read, in order."""
-    if prebuilt is not None:
-        qd, counts = prebuilt
-    else:
-        qd, counts = build_count_index(
-            bank_path, k, t, f,
-            gamma=gamma, master_seed=master_seed,
-            memory_budget=memory_budget, tmp_dir=tmp_dir,
-        )
+    """Stream query reads and write one abundance record per read, in order.
 
-    batches = read_batches(query_path, DEFAULT_BATCH_READS)
+    t is reported in the header only: the index does not record it.
+    """
     with open(out_path, "w") as out:
         out.write(
-            f"# src count k={qd.k} t={t} f={qd.f} gamma={gamma} seed={master_seed} "
-            f"N={qd.n_keys}\n"
+            f"# src count k={qd.k} t={t} f={qd.f} gamma={qd.mphf.gamma} "
+            f"seed={qd.mphf.master_seed} N={qd.n_keys}\n"
         )
         out.write(f"# counts saturate at {COUNT_SATURATION}\n")
         out.write("# read_id\tn_kmers\tmean\tmedian\tmin\tmax\t(*: no indexed k-mer)\n")
         work = lambda batch: estimate_batch(qd, counts, batch)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for records in pool.map(work, batches):
-                    out.writelines(rec.format() + "\n" for rec in records)
-        else:
-            for batch in batches:
-                out.writelines(rec.format() + "\n" for rec in work(batch))
+        for records in ordered_map(work, read_batches(query_path, DEFAULT_BATCH_READS), threads):
+            out.writelines(rec.format() + "\n" for rec in records)

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .seqio import ReadRecord, open_reads
+from .seqio import ReadRecord, read_batches
 
 U64 = np.uint64
 
@@ -172,10 +172,6 @@ class SolidKmerSet:
     def n(self) -> int:
         return len(self.codes)
 
-    def entries(self) -> Iterator[tuple[int, int]]:
-        for code, count in zip(self.codes.tolist(), self.counts.tolist()):
-            yield code, count
-
 
 def _run_lengths(sorted_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if len(sorted_codes) == 0:
@@ -234,21 +230,17 @@ def count_solid_kmers(
     t: int,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
     tmp_dir: str | None = None,
-    chunk_reads: int = 100_000,
+    chunk_reads: int = 16_384,
 ) -> SolidKmerSet:
     """Exact canonical k-mer counting over a read set, keeping counts >= t.
 
     Codes are buffered in memory and spilled to range-partitioned temp files
-    when the buffer would exceed memory_budget bytes.
+    when the buffer would exceed memory_budget bytes. Reads are encoded
+    chunk_reads at a time; the encoder's temporaries grow with that number.
     """
     _check_k(k)
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-
-    if isinstance(reads, (str, Path)):
-        records: Iterable[ReadRecord] = open_reads(reads)
-    else:
-        records = reads
 
     chunks: list[np.ndarray] = []
     buffered = 0
@@ -260,8 +252,6 @@ def count_solid_kmers(
             spill.write(arr)
         chunks.clear()
         buffered = 0
-
-    batch: list[str] = []
 
     def consume(seqs: list[str]) -> None:
         nonlocal buffered, spill
@@ -275,13 +265,9 @@ def count_solid_kmers(
             spill = _Spill(k, tmp_dir)
             flush_to_spill()
 
-    for rec in records:
-        batch.append(rec.sequence)
-        if len(batch) >= chunk_reads:
-            consume(batch)
-            batch = []
-    if batch:
-        consume(batch)
+    # map() holds no batch of records while its sequences are encoded
+    for seqs in map(lambda batch: [r.sequence for r in batch], read_batches(reads, chunk_reads)):
+        consume(seqs)
 
     solid_codes: list[np.ndarray] = []
     solid_counts: list[np.ndarray] = []

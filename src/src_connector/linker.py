@@ -10,16 +10,14 @@ of zero-terminated blocks (ids stored +1 so 0 terminates).
 
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .kmers import DEFAULT_MEMORY_BUDGET, count_solid_kmers, encode_reads
-from .mphf import DEFAULT_GAMMA, DEFAULT_MASTER_SEED
-from .quasidict import QuasiDictionary, create_quasi_dictionary
-from .seqio import ReadRecord, open_reads, read_batches
+from .kmers import encode_reads
+from .quasidict import QuasiDictionary
+from .seqio import ReadRecord, open_reads, ordered_map, read_batches
 
 DEFAULT_MIN_SHARED = 2
 DEFAULT_BATCH_READS = 1024
@@ -40,20 +38,7 @@ class MatchRecord:
 
 def _bank_pairs(qd: QuasiDictionary, bank, batch_reads: int):
     """Yield (slot, read_id) arrays for every indexed k-mer occurrence."""
-    if isinstance(bank, (str, Path)):
-        batches = read_batches(bank, batch_reads)
-    else:
-        def _chunks():
-            chunk = []
-            for rec in bank:
-                chunk.append(rec)
-                if len(chunk) >= batch_reads:
-                    yield chunk
-                    chunk = []
-            if chunk:
-                yield chunk
-        batches = _chunks()
-    for batch in batches:
+    for batch in read_batches(bank, batch_reads):
         canon, _, ptr = encode_reads([r.sequence for r in batch], qd.k)
         idx = qd.query_batch(canon)
         rids = np.repeat(
@@ -110,40 +95,32 @@ class ReadIdTable:
 class DiskIdTable:
     """Temp-file table: per slot, a zero-terminated block of 4-byte (id+1) values.
 
-    Blocks may contain duplicate ids (one per k-mer occurrence); readers
-    deduplicate. Keeps only one byte offset per slot in RAM.
+    Blocks may contain duplicate ids (one per k-mer occurrence); get()
+    deduplicates. Keeps only one offset per slot in RAM. Owns the file:
+    close() deletes it.
     """
 
-    def __init__(self, offsets: np.ndarray, path: str, owns_file: bool = True):
-        self.offsets = offsets  # int64 slot offsets (in 4-byte slots), len n_slots
+    def __init__(self, offsets: np.ndarray, path: str):
+        self.offsets = offsets  # int64 block starts (in 4-byte slots), n_slots + 1
         self.path = path
-        self._fh = open(path, "rb")
-        self._owns = owns_file
+        self._fd = os.open(path, os.O_RDONLY)
 
     def get(self, slot: int) -> np.ndarray:
-        """Raw (possibly duplicated) read ids of a block, in file order."""
-        self._fh.seek(int(self.offsets[slot]) * 4)
-        collected: list[np.ndarray] = []
-        while True:
-            chunk = np.frombuffer(self._fh.read(256), dtype=_SLOT_DTYPE)
-            if len(chunk) == 0:
-                raise IOError(f"{self.path}: unterminated id block for slot {slot}")
-            zero = np.flatnonzero(chunk == 0)
-            if len(zero):
-                collected.append(chunk[: zero[0]])
-                break
-            collected.append(chunk)
-        block = np.concatenate(collected) if len(collected) > 1 else collected[0]
-        return block.astype(np.int64) - 1
+        """Ascending, deduplicated bank read ids of a slot."""
+        lo, hi = int(self.offsets[slot]), int(self.offsets[slot + 1])
+        # one positioned read, so concurrent readers share no file position
+        block = np.frombuffer(os.pread(self._fd, 4 * (hi - lo), 4 * lo), dtype=_SLOT_DTYPE)
+        if len(block) != hi - lo or block[-1] != 0:
+            raise IOError(f"{self.path}: unterminated id block for slot {slot}")
+        return np.unique(block[:-1]).astype(np.int64) - 1
 
     def close(self) -> None:
-        self._fh.close()
-        if self._owns and os.path.exists(self.path):
-            os.unlink(self.path)
+        os.close(self._fd)
+        os.unlink(self.path)
 
 
 def _build_disk_table(
-    qd: QuasiDictionary, bank, tmp_path: str, batch_reads: int = 4096
+    qd: QuasiDictionary, bank, tmp_dir: str | None = None, batch_reads: int = 4096
 ) -> DiskIdTable:
     n = qd.n_keys
     # pass 1: occurrences per slot, bank-side false positives included
@@ -152,15 +129,18 @@ def _build_disk_table(
         np.add.at(occ, slot, 1)
 
     # pass 2: allocate zero-filled blocks of occ+1 slots each
-    offsets = np.zeros(n, dtype=np.int64)
-    if n:
-        np.cumsum(occ[:-1] + 1, out=offsets[1:])
-    total_slots = int(occ.sum()) + n
-    with open(tmp_path, "wb") as fh:
-        fh.truncate(total_slots * 4)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(occ + 1, out=offsets[1:])
+    total_slots = int(offsets[-1])
+    fd, tmp_path = tempfile.mkstemp(prefix="src_link_ids_", suffix=".bin", dir=tmp_dir)
+    os.ftruncate(fd, total_slots * 4)
+    os.close(fd)
+    table = DiskIdTable(offsets, tmp_path)
 
     # pass 3: rewrite each occurrence's id over the first free zero of its block
-    if total_slots:
+    if not total_slots:
+        return table
+    try:
         mm = np.memmap(tmp_path, dtype=_SLOT_DTYPE, mode="r+", shape=(total_slots,))
         cursor = np.zeros(n, dtype=np.int64)
         for slot, rid in _bank_pairs(qd, bank, batch_reads):
@@ -180,46 +160,15 @@ def _build_disk_table(
             np.add.at(cursor, slot_s[starts], sizes)
         mm.flush()
         del mm
-    return DiskIdTable(offsets, tmp_path)
-
-
-def build_id_index(
-    bank,
-    k: int,
-    t: int,
-    f: int,
-    gamma: float = DEFAULT_GAMMA,
-    master_seed: int = DEFAULT_MASTER_SEED,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-    tmp_dir: str | None = None,
-) -> tuple[QuasiDictionary, ReadIdTable]:
-    solid = count_solid_kmers(bank, k, t, memory_budget=memory_budget, tmp_dir=tmp_dir)
-    qd = create_quasi_dictionary(solid, f, gamma=gamma, master_seed=master_seed)
-    return qd, ReadIdTable.build(qd, bank)
-
-
-def build_disk_id_index(
-    bank,
-    k: int,
-    t: int,
-    f: int,
-    tmp_path: str | None = None,
-    gamma: float = DEFAULT_GAMMA,
-    master_seed: int = DEFAULT_MASTER_SEED,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-    tmp_dir: str | None = None,
-) -> tuple[QuasiDictionary, DiskIdTable]:
-    solid = count_solid_kmers(bank, k, t, memory_budget=memory_budget, tmp_dir=tmp_dir)
-    qd = create_quasi_dictionary(solid, f, gamma=gamma, master_seed=master_seed)
-    if tmp_path is None:
-        fd, tmp_path = tempfile.mkstemp(prefix="src_link_ids_", suffix=".bin", dir=tmp_dir)
-        os.close(fd)
-    return qd, _build_disk_table(qd, bank, tmp_path)
+    except BaseException:
+        table.close()
+        raise
+    return table
 
 
 def _similarity(
     qd: QuasiDictionary,
-    get_ids,
+    table: ReadIdTable | DiskIdTable,
     read: ReadRecord,
     min_shared: int,
     exclude_self: bool,
@@ -231,7 +180,7 @@ def _similarity(
     for i, slot in zip(positions.tolist(), idx.tolist()):
         if slot < 0:
             continue
-        for tid in get_ids(slot):
+        for tid in table.get(slot).tolist():
             state = targets.get(tid)
             if state is None:
                 targets[tid] = [i + k, 1]
@@ -246,103 +195,46 @@ def _similarity(
     return MatchRecord(read.id, matches)
 
 
-def query_read_similarity(
-    qd: QuasiDictionary,
-    ids: ReadIdTable,
-    read: ReadRecord,
-    min_shared: int = DEFAULT_MIN_SHARED,
-    exclude_self: bool = False,
-) -> MatchRecord:
-    return _similarity(qd, lambda s: ids.get(s).tolist(), read, min_shared, exclude_self)
-
-
-def query_disk(
-    qd: QuasiDictionary,
-    disk_ids: DiskIdTable,
-    read: ReadRecord,
-    min_shared: int = DEFAULT_MIN_SHARED,
-    exclude_self: bool = False,
-) -> MatchRecord:
-    # disk blocks carry duplicates; dedup before the overlap logic
-    return _similarity(
-        qd,
-        lambda s: np.unique(disk_ids.get(s)).tolist(),
-        read,
-        min_shared,
-        exclude_self,
-    )
-
-
 def run_src_linker(
-    bank_path: str | Path | None,
+    qd: QuasiDictionary,
+    bank_path: str | Path,
     query_path: str | Path,
-    k: int,
-    t: int,
-    f: int,
     out_path: str | Path,
+    t: int,
     min_shared: int = DEFAULT_MIN_SHARED,
     mode: str = "ram",
     threads: int = 1,
     no_self: bool = False,
-    gamma: float = DEFAULT_GAMMA,
-    master_seed: int = DEFAULT_MASTER_SEED,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
     tmp_dir: str | None = None,
-    prebuilt_qd: QuasiDictionary | None = None,
     sidecar_path: str | Path | None = None,
 ) -> None:
-    """One MatchRecord line per query read, in input order."""
+    """One MatchRecord line per query read, in input order.
+
+    The id table is built from the bank reads, which must be the reads qd
+    was built from; t is reported in the header only.
+    """
     if mode not in ("ram", "disk"):
         raise ValueError(f"mode must be 'ram' or 'disk', got {mode!r}")
-
-    if prebuilt_qd is not None:
-        qd = prebuilt_qd
+    if mode == "disk":
+        table = _build_disk_table(qd, bank_path, tmp_dir)
     else:
-        solid = count_solid_kmers(
-            bank_path, k, t, memory_budget=memory_budget, tmp_dir=tmp_dir
-        )
-        qd = create_quasi_dictionary(solid, f, gamma=gamma, master_seed=master_seed)
-        del solid
-
-    disk_table = None
+        table = ReadIdTable.build(qd, bank_path)
     try:
-        if mode == "disk":
-            fd, tmp_path = tempfile.mkstemp(
-                prefix="src_link_ids_", suffix=".bin", dir=tmp_dir
-            )
-            os.close(fd)
-            disk_table = _build_disk_table(qd, bank_path, tmp_path)
-            query_one = lambda read: query_disk(
-                qd, disk_table, read, min_shared, no_self
-            )
-        else:
-            table = ReadIdTable.build(qd, bank_path)
-            query_one = lambda read: query_read_similarity(
-                qd, table, read, min_shared, no_self
-            )
-
-        def work(batch: list[ReadRecord]) -> list[str]:
-            return [query_one(read).format() + "\n" for read in batch]
-
-        batches = read_batches(query_path, DEFAULT_BATCH_READS)
-        sidecar = open(sidecar_path, "w") if sidecar_path else None
+        work = lambda batch: [
+            _similarity(qd, table, read, min_shared, no_self).format() + "\n" for read in batch
+        ]
         with open(out_path, "w") as out:
             out.write(
-                f"# src link k={qd.k} t={t} f={qd.f} gamma={gamma} seed={master_seed} "
-                f"min_shared={min_shared} mode={mode} N={qd.n_keys}\n"
+                f"# src link k={qd.k} t={t} f={qd.f} gamma={qd.mphf.gamma} "
+                f"seed={qd.mphf.master_seed} min_shared={min_shared} mode={mode} N={qd.n_keys}\n"
             )
             out.write("# query_id: target_id-shared_kmers ... (*: no match)\n")
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    for lines in pool.map(work, batches):
-                        out.writelines(lines)
-            else:
-                for batch in batches:
-                    out.writelines(work(batch))
-        if sidecar:
+            for lines in ordered_map(work, read_batches(query_path, DEFAULT_BATCH_READS), threads):
+                out.writelines(lines)
+    finally:
+        if mode == "disk":
+            table.close()
+    if sidecar_path:
+        with open(sidecar_path, "w") as sidecar:
             for rec in open_reads(query_path):
                 sidecar.write(f"{rec.id}\t{rec.header}\n")
-            sidecar.close()
-    finally:
-        if disk_table is not None:
-            disk_table.close()

@@ -261,14 +261,3 @@ class Mphf:
             raise MphfFormatError(f"corrupt MPHF stream: {exc}") from exc
         return cls(n_keys, gamma, master_seed, levels, fallback)
 
-
-def build_mphf(
-    keys: np.ndarray,
-    gamma: float = DEFAULT_GAMMA,
-    master_seed: int = DEFAULT_MASTER_SEED,
-) -> Mphf:
-    return Mphf.build(keys, gamma=gamma, master_seed=master_seed)
-
-
-def mphf_query(m: Mphf, key: int) -> int:
-    return m.query(key)

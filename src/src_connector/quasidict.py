@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .bitpack import PackedArray
-from .kmers import SolidKmerSet
+from .kmers import DEFAULT_MEMORY_BUDGET, SolidKmerSet, count_solid_kmers
 from .mphf import DEFAULT_GAMMA, DEFAULT_MASTER_SEED, Mphf
 
 U64 = np.uint64
@@ -180,6 +180,10 @@ class QuasiDictionary:
                 off += n_keys
         except (struct.error, ValueError) as exc:
             raise IndexFormatError(f"corrupt index file: {exc}") from exc
+        if off != len(data):
+            raise IndexFormatError(
+                f"corrupt index file: {len(data) - off} bytes after the last section"
+            )
         if mphf.n_keys != n_keys:
             raise IndexFormatError("index header disagrees with embedded MPHF")
         qd = cls(k, f, mphf, PackedArray(n_keys, f, words))
@@ -190,19 +194,23 @@ class QuasiDictionary:
             fh.write(self.to_bytes(counts))
 
 
-def create_quasi_dictionary(
-    solid: SolidKmerSet,
+def build_bank_index(
+    bank,
+    k: int,
+    t: int,
     f: int,
     gamma: float = DEFAULT_GAMMA,
     master_seed: int = DEFAULT_MASTER_SEED,
-) -> QuasiDictionary:
-    return QuasiDictionary.create(solid, f, gamma=gamma, master_seed=master_seed)
+    memory_budget: int = DEFAULT_MEMORY_BUDGET,
+    tmp_dir: str | None = None,
+) -> tuple[QuasiDictionary, SolidKmerSet]:
+    """Count the solid k-mers of a bank (path or iterable of reads) and index them.
 
-
-def save_index(
-    qd: QuasiDictionary, path: str | Path, counts: np.ndarray | None = None
-) -> None:
-    qd.save(path, counts)
+    The solid set comes back for callers that build a count table from it;
+    others should drop it before building anything large.
+    """
+    solid = count_solid_kmers(bank, k, t, memory_budget=memory_budget, tmp_dir=tmp_dir)
+    return QuasiDictionary.create(solid, f, gamma=gamma, master_seed=master_seed), solid
 
 
 def load_index(path: str | Path) -> tuple[QuasiDictionary, np.ndarray | None]:

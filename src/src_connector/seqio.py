@@ -1,10 +1,14 @@
-"""Streaming FASTA/FASTQ reading, plain or gzipped, with 0-based read ids."""
+"""Streaming FASTA/FASTQ reading, plain or gzipped, with 0-based read ids,
+and the ordered worker loop that both tools run their read batches through."""
 
 import gzip
 import io
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 GZIP_MAGIC = b"\x1f\x8b"
 
@@ -123,13 +127,27 @@ def open_reads(path: str | Path) -> ReadStream:
     return ReadStream(path)
 
 
-def read_batches(path: str | Path, batch_size: int) -> Iterator[list[ReadRecord]]:
-    """Fixed-size batches of reads; boundaries depend only on batch_size."""
-    batch: list[ReadRecord] = []
-    for rec in open_reads(path):
-        batch.append(rec)
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+def read_batches(
+    reads: str | Path | Iterable[ReadRecord], batch_size: int
+) -> Iterator[list[ReadRecord]]:
+    """Fixed-size batches of reads from a file or an iterable of records;
+    boundaries depend only on batch_size. No reference to a batch is kept
+    here once it is yielded, so the consumer alone decides when it is freed."""
+    records = iter(open_reads(reads) if isinstance(reads, (str, Path)) else reads)
+    yield from iter(lambda: list(islice(records, batch_size)), [])
+
+
+def ordered_map(fn: Callable, items: Iterable, threads: int) -> Iterator:
+    """fn(item) for each item on a pool of worker threads, yielded in input order.
+
+    At most 2 * threads items are submitted ahead of the consumer, so a long
+    input streams instead of being queued whole.
+    """
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        for item in items:
+            if len(pending) >= 2 * threads:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()

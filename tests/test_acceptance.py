@@ -19,9 +19,9 @@ from src_connector.bench import (
 from src_connector.cli import main
 from src_connector.kmers import SolidKmerSet, encode_reads
 from src_connector.linker import run_src_linker
-from src_connector.mphf import NOT_FOUND, build_mphf
-from src_connector.quasidict import create_quasi_dictionary
-from src_connector.counter import run_src_counter
+from src_connector.mphf import NOT_FOUND, Mphf
+from src_connector.quasidict import QuasiDictionary, build_bank_index
+from src_connector.counter import build_count_table, run_src_counter
 
 from _accept_workers import linker_peak_worker
 from _datagen import duplicated_reads, planted_family_reads, pool_sampled_reads, write_fasta
@@ -43,6 +43,15 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 def _solid_from(codes: np.ndarray) -> SolidKmerSet:
     return SolidKmerSet(K, 1, codes, np.ones(len(codes), dtype=np.uint64), len(codes))
+
+
+def _count(bank, query, t, f, out):
+    qd, solid = build_bank_index(bank, K, t, f)
+    run_src_counter(qd, build_count_table(qd, solid.codes, solid.counts), query, out, t)
+
+
+def _link(bank, query, t, f, out, **kwargs):
+    run_src_linker(build_bank_index(bank, K, t, f)[0], bank, query, out, t, **kwargs)
 
 
 def _run_spawned(fn, *args):
@@ -90,7 +99,7 @@ def linker_instance(tmp_path_factory):
 def test_criterion_01_false_positive_rate(keysets_1m):
     keys, aliens = keysets_1m
     t0 = time.perf_counter()
-    qd = create_quasi_dictionary(_solid_from(keys), f=12, gamma=2.0)
+    qd = QuasiDictionary.create(_solid_from(keys), f=12, gamma=2.0)
     fp_rate = float((qd.query_batch(aliens) >= 0).mean())
     mphf_rejected = float((qd.mphf.query_batch(aliens) == NOT_FOUND).mean())
     elapsed = time.perf_counter() - t0
@@ -104,7 +113,7 @@ def test_criterion_01_false_positive_rate(keysets_1m):
 
 def test_criterion_02_exact_mode_zero_fp(keysets_1m):
     keys, aliens = keysets_1m
-    qd = create_quasi_dictionary(_solid_from(keys), f=62, gamma=2.0)
+    qd = QuasiDictionary.create(_solid_from(keys), f=62, gamma=2.0)
     n_fp = int((qd.query_batch(aliens) >= 0).sum())
     _report(2, "exact mode", n_fp == 0, f"false positives={n_fp} over {len(aliens)} aliens")
 
@@ -115,7 +124,7 @@ def test_criterion_03_mphf_bijection():
     details = []
     for n in (0, 1, 10, 1_000, 1_000_000):
         keys = random_canonical_codes(n, K, seed=200 + n)
-        m = build_mphf(keys)
+        m = Mphf.build(keys)
         res = m.query_batch(keys)
         bijective = sorted(res.tolist()) == list(range(n))
         ok &= bijective
@@ -157,7 +166,7 @@ def test_criterion_05_counter_oracle(counter_instance):
     for t in (1, 2):
         out = tmp / f"exact_t{t}.tsv"
         t0 = time.perf_counter()
-        run_src_counter(bank, bank, K, t, 62, out)
+        _count(bank, bank, t, 62, out)
         elapsed = time.perf_counter() - t0
         matches = parse_counter_output(out) == counter_records(seqs, seqs, K, t)
         ok &= matches and elapsed < 60
@@ -170,14 +179,14 @@ def test_criterion_06_overestimation(counter_instance):
     t = 2
     exact_path = tmp / f"exact_t{t}.tsv"
     if not exact_path.exists():
-        run_src_counter(bank, bank, K, t, 62, exact_path)
+        _count(bank, bank, t, 62, exact_path)
     exact = parse_counter_output(exact_path)
 
     never_below = True
     mean_overestimate = None
     for f in (4, 8, 12):
         out = tmp / f"approx_f{f}.tsv"
-        run_src_counter(bank, bank, K, t, f, out)
+        _count(bank, bank, t, f, out)
         approx = parse_counter_output(out)
         for ex, ap in zip(exact, approx):
             # mean, median, min, max each >= the exact-mode value
@@ -198,7 +207,7 @@ def test_criterion_07_linker_oracle(linker_instance):
     tmp, bank, seqs, families = linker_instance
     out = tmp / "ram.txt"
     t0 = time.perf_counter()
-    run_src_linker(bank, bank, K, 1, 62, out, min_shared=1, mode="ram")
+    _link(bank, bank, 1, 62, out, min_shared=1, mode="ram")
     elapsed = time.perf_counter() - t0
 
     parsed = parse_linker_output(out)
@@ -222,9 +231,9 @@ def test_criterion_08_ram_disk_equivalence(linker_instance, tmp_path):
     tmp, bank, seqs, _ = linker_instance
     ram_out = tmp / "ram.txt"
     if not ram_out.exists():
-        run_src_linker(bank, bank, K, 1, 62, ram_out, min_shared=1, mode="ram")
+        _link(bank, bank, 1, 62, ram_out, min_shared=1, mode="ram")
     disk_out = tmp / "disk.txt"
-    run_src_linker(bank, bank, K, 1, 62, disk_out, min_shared=1, mode="disk")
+    _link(bank, bank, 1, 62, disk_out, min_shared=1, mode="disk")
     same_output = sorted(_data_lines(ram_out)) == sorted(_data_lines(disk_out))
 
     # peak memory at a 10^6-read bank, each mode in its own process
@@ -268,7 +277,7 @@ def test_criterion_09_query_time_scaling():
     times = {}
     for n_keys in (100_000, 1_000_000, 10_000_000):
         keys = random_canonical_codes(n_keys, K, seed=300)
-        qd = create_quasi_dictionary(_solid_from(keys), f=12, gamma=2.0)
+        qd = QuasiDictionary.create(_solid_from(keys), f=12, gamma=2.0)
         del keys
         best = float("inf")
         for _ in range(3):

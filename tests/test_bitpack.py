@@ -3,12 +3,11 @@ import pytest
 
 from src_connector.bitpack import (
     PackedArray,
+    bits_from_bool,
     build_rank_blocks,
     get_bits,
     popcount,
     rank1,
-    set_bits,
-    zeros_bits,
 )
 
 
@@ -18,9 +17,10 @@ def test_popcount():
 
 
 def test_set_get_bits():
-    bits = zeros_bits(200)
     pos = np.array([0, 1, 63, 64, 130, 199], dtype=np.int64)
-    set_bits(bits, pos)
+    mask = np.zeros(200, dtype=bool)
+    mask[pos] = True
+    bits = bits_from_bool(mask)
     probe = np.arange(200, dtype=np.int64)
     got = get_bits(bits, probe)
     assert np.flatnonzero(got).tolist() == pos.tolist()
@@ -30,8 +30,7 @@ def test_set_get_bits():
 def test_rank_matches_naive(n, density):
     rng = np.random.default_rng(n)
     flags = rng.random(n) < density
-    bits = zeros_bits(n)
-    set_bits(bits, np.flatnonzero(flags))
+    bits = bits_from_bool(flags)
     blocks = build_rank_blocks(bits)
     pos = np.arange(n, dtype=np.int64)
     # rank1(p) = number of set bits strictly before p

@@ -141,6 +141,31 @@ def test_usage_error_index_param_mismatch(bank, tmp_path, capsys):
     assert "f=" in capsys.readouterr().err
 
 
+def test_header_reports_loaded_index_params(bank, tmp_path):
+    path, _ = bank
+    idx = tmp_path / "bank.idx"
+    assert main(
+        ["index", "-b", str(path), "-t", "1", "-f", "12", "--gamma", "3", "--seed", "7",
+         "-o", str(idx)]
+    ) == 0
+    out = tmp_path / "out.tsv"
+    assert main(["count", "--index", str(idx), "-q", str(path), "-o", str(out)]) == 0
+    header = out.read_text().splitlines()[0]
+    assert "k=31" in header and "f=12" in header
+    assert "gamma=3.0 seed=7" in header
+
+
+def test_runtime_error_index_trailing_bytes(bank, tmp_path, capsys):
+    path, _ = bank
+    idx = tmp_path / "bank.idx"
+    assert main(["index", "-b", str(path), "-t", "1", "-o", str(idx)]) == 0
+    with open(idx, "ab") as fh:
+        fh.write(b"junk")
+    code = main(["count", "--index", str(idx), "-q", str(path), "-o", str(tmp_path / "o")])
+    assert code == 2
+    assert "4 bytes after the last section" in capsys.readouterr().err
+
+
 def test_usage_error_exact_conflicts_with_f(bank, tmp_path):
     path, _ = bank
     code = main(

@@ -3,12 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from src_connector.counter import (
-    build_count_index,
-    estimate_batch,
-    estimate_read_abundance,
-    run_src_counter,
-)
+from src_connector.counter import build_count_table, estimate_batch, run_src_counter
+from src_connector.quasidict import build_bank_index
 from src_connector.seqio import ReadRecord
 
 from _datagen import random_reads, write_fasta
@@ -19,10 +15,20 @@ def _records(seqs):
     return [ReadRecord(i, s) for i, s in enumerate(seqs)]
 
 
+def _count_index(bank, k, t, f):
+    qd, solid = build_bank_index(bank, k, t, f)
+    return qd, build_count_table(qd, solid.codes, solid.counts)
+
+
+def _count(bank, query, k, t, f, out_path, threads=1):
+    qd, counts = _count_index(bank, k, t, f)
+    run_src_counter(qd, counts, query, out_path, t, threads=threads)
+
+
 def test_worked_example():
     bank = ["AAAAC", "AAACA"]
-    qd, counts = build_count_index(_records(bank), k=4, t=1, f=8)
-    rec = estimate_read_abundance(qd, counts, ReadRecord(0, "AAAAC"))
+    qd, counts = _count_index(_records(bank), k=4, t=1, f=8)
+    rec = estimate_batch(qd, counts, [ReadRecord(0, "AAAAC")])[0]
     # k-mer counts collected: AAAA -> 1, AAAC -> 2
     assert rec.n_kmers_considered == 2
     assert rec.mean == 1.5
@@ -33,22 +39,22 @@ def test_worked_example():
 
 def test_solidity_filter():
     bank = ["AAAAC", "AAACA"]
-    qd, counts = build_count_index(_records(bank), k=4, t=2, f=8)
+    qd, counts = _count_index(_records(bank), k=4, t=2, f=8)
     assert qd.n_keys == 1  # only AAAC occurs twice
-    rec = estimate_read_abundance(qd, counts, ReadRecord(0, "AAAAC"))
+    rec = estimate_batch(qd, counts, [ReadRecord(0, "AAAAC")])[0]
     assert rec.n_kmers_considered == 1 and rec.max == 2
 
 
 def test_count_saturation():
     bank = ["A" * 40] * 300  # AAAA occurs 300 * 37 times
-    qd, counts = build_count_index(_records(bank), k=4, t=1, f=8)
-    rec = estimate_read_abundance(qd, counts, ReadRecord(0, "AAAA"))
+    qd, counts = _count_index(_records(bank), k=4, t=1, f=8)
+    rec = estimate_batch(qd, counts, [ReadRecord(0, "AAAA")])[0]
     assert rec.max == 255
 
 
 def test_read_shorter_than_k():
-    qd, counts = build_count_index(_records(["ACGTACGTACGT"]), k=6, t=1, f=12)
-    rec = estimate_read_abundance(qd, counts, ReadRecord(0, "ACG"))
+    qd, counts = _count_index(_records(["ACGTACGTACGT"]), k=6, t=1, f=12)
+    rec = estimate_batch(qd, counts, [ReadRecord(0, "ACG")])[0]
     assert rec.no_hit
     assert (rec.n_kmers_considered, rec.mean, rec.median, rec.min, rec.max) == (0, 0.0, 0, 0, 0)
     assert rec.format().endswith("\t*")
@@ -57,9 +63,9 @@ def test_read_shorter_than_k():
 def test_bank_read_always_hits():
     rng = np.random.default_rng(0)
     bank = random_reads(rng, 50, 100)
-    qd, counts = build_count_index(_records(bank), k=31, t=1, f=62)
+    qd, counts = _count_index(_records(bank), k=31, t=1, f=62)
     for i in (0, 17, 49):
-        rec = estimate_read_abundance(qd, counts, ReadRecord(i, bank[i]))
+        rec = estimate_batch(qd, counts, [ReadRecord(i, bank[i])])[0]
         assert rec.min >= 1
         assert rec.n_kmers_considered == 100 - 31 + 1
 
@@ -72,7 +78,7 @@ def test_exact_mode_matches_oracle(tmp_path):
     write_fasta(bank, seqs)
     for t in (1, 2):
         out = tmp_path / f"out_t{t}.tsv"
-        run_src_counter(bank, bank, k=31, t=t, f=62, out_path=out)
+        _count(bank, bank, 31, t, 62, out)
         assert parse_counter_output(out) == counter_records(seqs, seqs, 31, t)
 
 
@@ -82,11 +88,11 @@ def test_overestimation_never_below_exact(tmp_path):
     bank = tmp_path / "bank.fa"
     write_fasta(bank, seqs)
     exact_out = tmp_path / "exact.tsv"
-    run_src_counter(bank, bank, k=31, t=1, f=62, out_path=exact_out)
+    _count(bank, bank, 31, 1, 62, exact_out)
     exact = parse_counter_output(exact_out)
     for f in (4, 8):
         approx_out = tmp_path / f"f{f}.tsv"
-        run_src_counter(bank, bank, k=31, t=1, f=f, out_path=approx_out)
+        _count(bank, bank, 31, 1, f, approx_out)
         approx = parse_counter_output(approx_out)
         for ex, ap in zip(exact, approx):
             assert ap[1] >= ex[1]  # n_kmers
@@ -99,7 +105,7 @@ def test_empty_query(tmp_path):
     query = tmp_path / "query.fa"
     query.write_text("")
     out = tmp_path / "out.tsv"
-    run_src_counter(bank, query, k=6, t=1, f=12, out_path=out)
+    _count(bank, query, 6, 1, 12, out)
     assert parse_counter_output(out) == []
     assert all(line.startswith("#") for line in open(out))
 
@@ -110,7 +116,7 @@ def test_output_order_and_cardinality(tmp_path):
     bank = tmp_path / "bank.fa"
     write_fasta(bank, seqs)
     out = tmp_path / "out.tsv"
-    run_src_counter(bank, bank, k=21, t=1, f=12, out_path=out)
+    _count(bank, bank, 21, 1, 12, out)
     records = parse_counter_output(out)
     assert [r[0] for r in records] == list(range(123))
 
@@ -122,15 +128,15 @@ def test_thread_count_does_not_change_output(tmp_path):
     write_fasta(bank, seqs)
     out1 = tmp_path / "t1.tsv"
     out8 = tmp_path / "t8.tsv"
-    run_src_counter(bank, bank, k=31, t=1, f=12, out_path=out1, threads=1)
-    run_src_counter(bank, bank, k=31, t=1, f=12, out_path=out8, threads=8)
+    _count(bank, bank, 31, 1, 12, out1, threads=1)
+    _count(bank, bank, 31, 1, 12, out8, threads=8)
     assert out1.read_bytes() == out8.read_bytes()
 
 
 def test_query_phase_scales_roughly_linearly():
     rng = np.random.default_rng(5)
     bank = _records(random_reads(rng, 500, 100))
-    qd, counts = build_count_index(bank, k=31, t=1, f=12)
+    qd, counts = _count_index(bank, k=31, t=1, f=12)
     small = [ReadRecord(i, s) for i, s in enumerate(random_reads(rng, 2000, 100))]
     big = [ReadRecord(i, s) for i, s in enumerate(random_reads(rng, 20_000, 100))]
 

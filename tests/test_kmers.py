@@ -89,7 +89,7 @@ def test_enumerate_matches_string_oracle():
 
 
 def _solid_as_dict(solid: SolidKmerSet) -> dict[str, int]:
-    return {decode_kmer(c, solid.k): int(n) for c, n in solid.entries()}
+    return {decode_kmer(c, solid.k): int(n) for c, n in zip(solid.codes.tolist(), solid.counts.tolist())}
 
 
 def test_count_solid_worked_example():

@@ -6,8 +6,6 @@ from src_connector.mphf import (
     Mphf,
     MphfError,
     MphfFormatError,
-    build_mphf,
-    mphf_query,
 )
 
 
@@ -25,12 +23,12 @@ def _disjoint(n_keys, n_aliens, seed=0):
 
 
 def test_singleton():
-    m = build_mphf(np.array([42], dtype=np.uint64))
-    assert mphf_query(m, 42) == 0
+    m = Mphf.build(np.array([42], dtype=np.uint64))
+    assert m.query(42) == 0
 
 
 def test_empty():
-    m = build_mphf(np.empty(0, dtype=np.uint64))
+    m = Mphf.build(np.empty(0, dtype=np.uint64))
     assert m.n_keys == 0
     assert m.query(123) == NOT_FOUND
     assert m.query_batch(np.array([1, 2, 3], dtype=np.uint64)).tolist() == [-1, -1, -1]
@@ -38,14 +36,14 @@ def test_empty():
 
 def test_bijection_10k():
     keys = _random_keys(10_000, seed=1)
-    m = build_mphf(keys)
+    m = Mphf.build(keys)
     res = m.query_batch(keys)
     assert sorted(res.tolist()) == list(range(10_000))
 
 
 def test_scalar_matches_batch():
     keys, aliens = _disjoint(5000, 500, seed=2)
-    m = build_mphf(keys)
+    m = Mphf.build(keys)
     probe = np.concatenate([keys[:200], aliens[:200]])
     batch = m.query_batch(probe)
     for key, want in zip(probe.tolist(), batch.tolist()):
@@ -54,12 +52,12 @@ def test_scalar_matches_batch():
 
 def test_duplicate_keys_rejected():
     with pytest.raises(MphfError):
-        build_mphf(np.array([7, 7, 8], dtype=np.uint64))
+        Mphf.build(np.array([7, 7, 8], dtype=np.uint64))
 
 
 def test_alien_rejection_over_half_at_gamma2():
     keys, aliens = _disjoint(100_000, 100_000, seed=3)
-    m = build_mphf(keys, gamma=2.0)
+    m = Mphf.build(keys, gamma=2.0)
     rejected = (m.query_batch(aliens) == NOT_FOUND).mean()
     assert rejected >= 0.5
 
@@ -68,14 +66,14 @@ def test_alien_rejection_monotone_in_gamma():
     keys, aliens = _disjoint(50_000, 50_000, seed=4)
     rates = []
     for gamma in (1.2, 1.5, 2.0):
-        m = build_mphf(keys, gamma=gamma)
+        m = Mphf.build(keys, gamma=gamma)
         rates.append(float((m.query_batch(aliens) == NOT_FOUND).mean()))
     assert rates[0] < rates[1] < rates[2]
 
 
 def test_size_budget():
     keys = _random_keys(1_000_000, seed=5)
-    m = build_mphf(keys, gamma=2.0)
+    m = Mphf.build(keys, gamma=2.0)
     assert m.size_bits() / len(keys) <= 8.0
 
 
@@ -86,12 +84,12 @@ def test_build_deterministic():
 
 def test_gamma_validation():
     with pytest.raises(ValueError):
-        build_mphf(np.array([1], dtype=np.uint64), gamma=1.0)
+        Mphf.build(np.array([1], dtype=np.uint64), gamma=1.0)
 
 
 def test_serialize_roundtrip():
     keys, aliens = _disjoint(10_000, 10_000, seed=7)
-    m = build_mphf(keys)
+    m = Mphf.build(keys)
     m2 = Mphf.deserialize(m.serialize())
     probe = np.concatenate([keys, aliens])
     assert (m.query_batch(probe) == m2.query_batch(probe)).all()
@@ -99,17 +97,17 @@ def test_serialize_roundtrip():
 
 
 def test_serialize_roundtrip_empty():
-    m = Mphf.deserialize(build_mphf(np.empty(0, dtype=np.uint64)).serialize())
+    m = Mphf.deserialize(Mphf.build(np.empty(0, dtype=np.uint64)).serialize())
     assert m.n_keys == 0
 
 
 def test_deserialize_bad_magic():
-    blob = build_mphf(np.array([5], dtype=np.uint64)).serialize()
+    blob = Mphf.build(np.array([5], dtype=np.uint64)).serialize()
     with pytest.raises(MphfFormatError):
         Mphf.deserialize(b"NOTMAGIC" + blob[8:])
 
 
 def test_deserialize_truncated():
-    blob = build_mphf(_random_keys(100, seed=8)).serialize()
+    blob = Mphf.build(_random_keys(100, seed=8)).serialize()
     with pytest.raises(MphfFormatError):
         Mphf.deserialize(blob[: len(blob) // 2])

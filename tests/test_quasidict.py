@@ -6,11 +6,9 @@ from src_connector.quasidict import (
     NOT_INDEXED,
     IndexFormatError,
     QuasiDictionary,
-    create_quasi_dictionary,
     fingerprint,
     fingerprint_batch,
     load_index,
-    save_index,
 )
 
 
@@ -61,13 +59,13 @@ def test_fingerprint_width_validation():
 def test_create_small():
     k = 4
     codes = [encode_kmer(s) for s in ("AAAA", "AAAC", "AACA")]
-    qd = create_quasi_dictionary(_solid_from_codes(codes, k), 8)
+    qd = QuasiDictionary.create(_solid_from_codes(codes, k), 8)
     idx = [qd.query(c).index for c in codes]
     assert sorted(idx) == [0, 1, 2]
 
 
 def test_create_empty():
-    qd = create_quasi_dictionary(_solid_from_codes([], 31), 12)
+    qd = QuasiDictionary.create(_solid_from_codes([], 31), 12)
     assert qd.n_keys == 0
     assert qd.query(0).index == NOT_INDEXED
     assert (qd.query_batch(np.arange(100, dtype=np.uint64)) == NOT_INDEXED).all()
@@ -76,14 +74,14 @@ def test_create_empty():
 def test_f_range_validation():
     solid = _solid_from_codes([1, 2], 4)
     with pytest.raises(ValueError):
-        create_quasi_dictionary(solid, 0)
+        QuasiDictionary.create(solid, 0)
     with pytest.raises(ValueError):
-        create_quasi_dictionary(solid, 9)  # > 2k for k=4
+        QuasiDictionary.create(solid, 9)  # > 2k for k=4
 
 
 def test_no_false_negatives_and_index_uniqueness():
     solid = _random_solid(20_000, seed=2)
-    qd = create_quasi_dictionary(solid, 12)
+    qd = QuasiDictionary.create(solid, 12)
     idx = qd.query_batch(solid.codes)
     assert sorted(idx.tolist()) == list(range(solid.n))
     # stable across repeated queries
@@ -92,7 +90,7 @@ def test_no_false_negatives_and_index_uniqueness():
 
 def test_scalar_query_matches_batch():
     solid = _random_solid(2000, seed=3)
-    qd = create_quasi_dictionary(solid, 12)
+    qd = QuasiDictionary.create(solid, 12)
     aliens = _random_solid(2000, seed=4).codes
     probe = np.concatenate([solid.codes[:300], aliens[:300]])
     batch = qd.query_batch(probe)
@@ -107,7 +105,7 @@ def test_fp_rate_monotone_in_f():
     aliens = pool[40_000:]
     rates = []
     for f in (4, 8, 12, 20):
-        qd = create_quasi_dictionary(solid, f)
+        qd = QuasiDictionary.create(solid, f)
         fp = float((qd.query_batch(aliens) >= 0).mean())
         assert fp <= 2.0 ** -f  # fingerprint-only bound
         rates.append(fp)
@@ -120,7 +118,7 @@ def test_exact_mode_exhaustive_small_k():
     canon = np.unique(canonicalize_batch(all_codes, k))
     indexed = canon[::2]
     aliens = canon[1::2]
-    qd = create_quasi_dictionary(_solid_from_codes(indexed, k), 2 * k)
+    qd = QuasiDictionary.create(_solid_from_codes(indexed, k), 2 * k)
     assert qd.exact
     assert (qd.query_batch(indexed) >= 0).all()
     assert (qd.query_batch(aliens) == NOT_INDEXED).all()  # zero FP, exhaustive
@@ -128,16 +126,16 @@ def test_exact_mode_exhaustive_small_k():
 
 def test_payload_bits_exact():
     solid = _random_solid(12_345, seed=6)
-    qd = create_quasi_dictionary(solid, 12)
+    qd = QuasiDictionary.create(solid, 12)
     assert qd.payload_bits == 12_345 * 12
 
 
 def test_save_load_roundtrip(tmp_path):
     solid = _random_solid(5000, seed=7)
-    qd = create_quasi_dictionary(solid, 12)
+    qd = QuasiDictionary.create(solid, 12)
     path = tmp_path / "index.bin"
     counts = np.arange(solid.n, dtype=np.uint8)
-    save_index(qd, path, counts)
+    qd.save(path, counts)
     qd2, counts2 = load_index(path)
     assert (counts2 == counts).all()
     assert (qd2.k, qd2.f, qd2.n_keys) == (qd.k, qd.f, qd.n_keys)
@@ -146,7 +144,7 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_save_load_without_counts(tmp_path):
-    qd = create_quasi_dictionary(_random_solid(100, seed=9), 8)
+    qd = QuasiDictionary.create(_random_solid(100, seed=9), 8)
     path = tmp_path / "index.bin"
     qd.save(path)
     qd2, counts = load_index(path)
@@ -155,7 +153,7 @@ def test_save_load_without_counts(tmp_path):
 
 
 def test_save_load_empty(tmp_path):
-    qd = create_quasi_dictionary(_solid_from_codes([], 31), 12)
+    qd = QuasiDictionary.create(_solid_from_codes([], 31), 12)
     path = tmp_path / "index.bin"
     qd.save(path)
     qd2, _ = load_index(path)
@@ -164,7 +162,7 @@ def test_save_load_empty(tmp_path):
 
 def test_load_bad_magic(tmp_path):
     path = tmp_path / "index.bin"
-    qd = create_quasi_dictionary(_random_solid(10, seed=10), 8)
+    qd = QuasiDictionary.create(_random_solid(10, seed=10), 8)
     blob = qd.to_bytes()
     path.write_bytes(b"BADMAGIC" + blob[8:])
     with pytest.raises(IndexFormatError):
