@@ -83,7 +83,7 @@ def bench_quasidict_worker(
     keys = _load_keys(keys_path)
     n = len(keys)
     counts = np.broadcast_to(np.uint64(1), n)  # stride-0 view, no allocation
-    solid = SolidKmerSet(k, 1, keys, counts, n)
+    solid = SolidKmerSet(k, 1, keys, counts, n, bank_digest=bytes(16))  # no bank: synthetic keys
     w0, c0 = time.perf_counter(), time.process_time()
     qd = QuasiDictionary.create(solid, f, gamma=gamma, master_seed=seed)
     build_s, build_cpu = time.perf_counter() - w0, time.process_time() - c0

@@ -93,13 +93,17 @@ class PackedArray:
             raise ValueError(f"width must be in [1, 62], got {width}")
         self.n = n
         self.width = width
-        n_words = (n * width + WORD_BITS - 1) // WORD_BITS + 1  # +1 guard word
+        n_words = self.n_words(n, width)
         if words is None:
             words = np.zeros(n_words, dtype=U64)
         elif len(words) != n_words:
             raise ValueError("packed payload has the wrong length")
         self.words = words
         self._mask = U64((1 << width) - 1)
+
+    @staticmethod
+    def n_words(n: int, width: int) -> int:
+        return (n * width + WORD_BITS - 1) // WORD_BITS + 1  # +1 guard word
 
     @property
     def payload_bits(self) -> int:

@@ -31,7 +31,7 @@ def _add_common(sub: argparse.ArgumentParser, default_f: int) -> None:
     sub.add_argument("-b", "--bank", help="bank read file (FASTA/FASTQ, optionally gzipped)")
     sub.add_argument("-k", type=int, default=None, help=f"k-mer length (default {MAX_K})")
     sub.add_argument(
-        "-t", "-c", "--solidity", dest="t", type=int, default=2,
+        "-t", "-c", "--solidity", dest="t", type=int, default=None,
         help="solidity threshold: index k-mers occurring >= t times (default 2)",
     )
     sub.add_argument(
@@ -59,7 +59,7 @@ def _resolve_params(args, default_f: int) -> tuple[int, int, int]:
         f = 2 * k
     else:
         f = args.f if args.f is not None else default_f
-    t = args.t
+    t = args.t if args.t is not None else 2
     if not 1 <= k <= MAX_K:
         raise UsageError(f"k must be <= {MAX_K} (and >= 1)")
     if not 1 <= f <= 2 * k:
@@ -69,10 +69,12 @@ def _resolve_params(args, default_f: int) -> tuple[int, int, int]:
     return k, t, f
 
 
-def _load_prebuilt(args, k, f):
+def _load_prebuilt(args, k, t, f):
     qd, counts = load_index(args.index)
     if args.k is not None and qd.k != k:
         raise UsageError(f"index was built with k={qd.k}, not k={k}")
+    if args.t is not None and qd.t != t:
+        raise UsageError(f"index was built with t={qd.t}, not t={t}")
     if (args.f is not None or args.exact) and qd.f != f:
         raise UsageError(f"index was built with f={qd.f}, not f={f}")
     return qd, counts
@@ -143,26 +145,26 @@ def cmd_index(args) -> int:
 def cmd_count(args) -> int:
     k, t, f = _resolve_params(args, default_f=8)
     if args.index:
-        qd, counts = _load_prebuilt(args, k, f)
+        qd, counts = _load_prebuilt(args, k, t, f)
         if counts is None:
             raise ValueError(f"{args.index}: index carries no count table")
     else:
         qd, solid = _build(args, k, t, f)
         counts = build_count_table(qd, solid.codes, solid.counts)
         del solid
-    run_src_counter(qd, counts, args.query, args.out, t, threads=max(args.threads, 1))
+    run_src_counter(qd, counts, args.query, args.out, threads=max(args.threads, 1))
     return EXIT_OK
 
 
 def cmd_link(args) -> int:
     k, t, f = _resolve_params(args, default_f=12)
     if args.index:
-        qd = _load_prebuilt(args, k, f)[0]
+        qd = _load_prebuilt(args, k, t, f)[0]
     else:
         qd = _build(args, k, t, f)[0]  # the solid set is dropped before the id table is built
     _require_bank(args)  # the id table is always rebuilt from the bank reads
     run_src_linker(
-        qd, args.bank, args.query, args.out, t,
+        qd, args.bank, args.query, args.out,
         min_shared=args.min_shared, mode=args.mode, threads=max(args.threads, 1),
         no_self=args.no_self, tmp_dir=args.tmp_dir, sidecar_path=args.sidecar,
     )

@@ -89,16 +89,12 @@ def run_src_counter(
     counts: np.ndarray,
     query_path: str | Path,
     out_path: str | Path,
-    t: int,
     threads: int = 1,
 ) -> None:
-    """Stream query reads and write one abundance record per read, in order.
-
-    t is reported in the header only: the index does not record it.
-    """
+    """Stream query reads and write one abundance record per read, in order."""
     with open(out_path, "w") as out:
         out.write(
-            f"# src count k={qd.k} t={t} f={qd.f} gamma={qd.mphf.gamma} "
+            f"# src count k={qd.k} t={qd.t} f={qd.f} gamma={qd.mphf.gamma} "
             f"seed={qd.mphf.master_seed} N={qd.n_keys}\n"
         )
         out.write(f"# counts saturate at {COUNT_SATURATION}\n")

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .seqio import ReadRecord, read_batches
+from .seqio import BankDigest, ReadRecord, read_batches
 
 U64 = np.uint64
 
@@ -167,6 +167,7 @@ class SolidKmerSet:
     codes: np.ndarray  # uint64, ascending
     counts: np.ndarray  # uint64, aligned with codes
     n_distinct_total: int  # distinct canonical k-mers seen, including non-solid
+    bank_digest: bytes  # seqio.BankDigest of the reads counted
 
     @property
     def n(self) -> int:
@@ -245,6 +246,7 @@ def count_solid_kmers(
     chunks: list[np.ndarray] = []
     buffered = 0
     spill: _Spill | None = None
+    digest = BankDigest()
 
     def flush_to_spill() -> None:
         nonlocal buffered
@@ -255,6 +257,7 @@ def count_solid_kmers(
 
     def consume(seqs: list[str]) -> None:
         nonlocal buffered, spill
+        digest.update(seqs)
         canon, _, _ = encode_reads(seqs, k)
         if spill is not None:
             spill.write(canon)
@@ -297,4 +300,5 @@ def count_solid_kmers(
         codes=np.concatenate(solid_codes) if solid_codes else np.empty(0, dtype=U64),
         counts=np.concatenate(solid_counts) if solid_counts else np.empty(0, dtype=np.uint64),
         n_distinct_total=n_distinct,
+        bank_digest=digest.digest(),
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .kmers import encode_reads
 from .quasidict import QuasiDictionary
-from .seqio import ReadRecord, open_reads, ordered_map, read_batches
+from .seqio import BankDigest, ReadRecord, open_reads, ordered_map, read_batches
 
 DEFAULT_MIN_SHARED = 2
 DEFAULT_BATCH_READS = 1024
@@ -37,9 +37,16 @@ class MatchRecord:
 
 
 def _bank_pairs(qd: QuasiDictionary, bank, batch_reads: int):
-    """Yield (slot, read_id) arrays for every indexed k-mer occurrence."""
+    """Yield (slot, read_id) arrays for every indexed k-mer occurrence.
+
+    Once the whole bank is read, raises ValueError if its reads are not the
+    ones qd was built from.
+    """
+    digest = BankDigest()
     for batch in read_batches(bank, batch_reads):
-        canon, _, ptr = encode_reads([r.sequence for r in batch], qd.k)
+        seqs = [r.sequence for r in batch]
+        digest.update(seqs)
+        canon, _, ptr = encode_reads(seqs, qd.k)
         idx = qd.query_batch(canon)
         rids = np.repeat(
             np.fromiter((r.id for r in batch), dtype=np.int64, count=len(batch)),
@@ -47,6 +54,8 @@ def _bank_pairs(qd: QuasiDictionary, bank, batch_reads: int):
         )
         hit = idx >= 0
         yield idx[hit], rids[hit]
+    if digest.digest() != qd.bank_digest:
+        raise ValueError("bank reads differ from those the index was built from")
 
 
 class ReadIdTable:
@@ -200,7 +209,6 @@ def run_src_linker(
     bank_path: str | Path,
     query_path: str | Path,
     out_path: str | Path,
-    t: int,
     min_shared: int = DEFAULT_MIN_SHARED,
     mode: str = "ram",
     threads: int = 1,
@@ -211,7 +219,7 @@ def run_src_linker(
     """One MatchRecord line per query read, in input order.
 
     The id table is built from the bank reads, which must be the reads qd
-    was built from; t is reported in the header only.
+    was built from: building it raises ValueError when they are not.
     """
     if mode not in ("ram", "disk"):
         raise ValueError(f"mode must be 'ram' or 'disk', got {mode!r}")
@@ -225,7 +233,7 @@ def run_src_linker(
         ]
         with open(out_path, "w") as out:
             out.write(
-                f"# src link k={qd.k} t={t} f={qd.f} gamma={qd.mphf.gamma} "
+                f"# src link k={qd.k} t={qd.t} f={qd.f} gamma={qd.mphf.gamma} "
                 f"seed={qd.mphf.master_seed} min_shared={min_shared} mode={mode} N={qd.n_keys}\n"
             )
             out.write("# query_id: target_id-shared_kmers ... (*: no match)\n")

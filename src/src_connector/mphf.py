@@ -12,12 +12,11 @@ gamma=2 happens for well over half of them.
 """
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bitpack import bits_from_bool, build_rank_blocks, get_bits, rank1
+from .bitpack import bits_from_bool, build_rank_blocks, get_bits, popcount, rank1
 
 U64 = np.uint64
 
@@ -26,8 +25,6 @@ DEFAULT_GAMMA = 2.0
 DEFAULT_MASTER_SEED = 1337
 DEFAULT_MAX_LEVELS = 32
 
-MAGIC = b"QDMPHF01"
-
 _MIX_C1 = 0xFF51AFD7ED558CCD
 _MIX_C2 = 0xC4CEB9FE1A85EC53
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -35,10 +32,6 @@ _MASK64 = (1 << 64) - 1
 
 
 class MphfError(Exception):
-    pass
-
-
-class MphfFormatError(MphfError):
     pass
 
 
@@ -85,17 +78,28 @@ class Mphf:
 
     def __init__(
         self,
-        n_keys: int,
         gamma: float,
         master_seed: int,
-        levels: list[_Level],
-        fallback: dict[int, int],
+        level_bits: list[tuple[int, np.ndarray, np.ndarray]],
+        fallback_keys: np.ndarray,
     ):
-        self.n_keys = n_keys
+        """level_bits holds each level's (size, occupied, collided), fallback_keys
+        the keys no level settled, in index order. The rest is derived here for
+        built and loaded MPHFs alike: level seeds, index offsets (keys settled
+        by earlier levels), rank blocks and n_keys."""
         self.gamma = gamma
         self.master_seed = master_seed
-        self.levels = levels
-        self.fallback = fallback
+        self.levels: list[_Level] = []
+        offset = 0
+        for i, (size, occupied, collided) in enumerate(level_bits):
+            self.levels.append(
+                _Level(size, level_seed(master_seed, i), occupied, collided,
+                       build_rank_blocks(occupied), offset)
+            )
+            offset += int(popcount(occupied).sum())
+        # insertion order is index order, which is the order the keys are saved in
+        self.fallback = {key: offset + j for j, key in enumerate(fallback_keys.tolist())}
+        self.n_keys = offset + len(self.fallback)
 
     @classmethod
     def build(
@@ -116,9 +120,8 @@ class Mphf:
             del srt
 
         chunk = 1 << 21  # keys processed per pass; bounds peak memory at large N
-        levels: list[_Level] = []
+        level_bits = []
         remaining = keys
-        offset = 0
         for lvl in range(max_levels):
             if len(remaining) == 0:
                 break
@@ -130,12 +133,7 @@ class Mphf:
                 pos = (mix64_batch(part ^ U64(seed)) % U64(size)).astype(np.int64)
                 np.add.at(counts, pos, 1)
 
-            occupied = bits_from_bool(counts == 1)
-            collided = bits_from_bool(counts > 1)
-            levels.append(
-                _Level(size, seed, occupied, collided, build_rank_blocks(occupied), offset)
-            )
-            offset += int((counts == 1).sum())
+            level_bits.append((size, bits_from_bool(counts == 1), bits_from_bool(counts > 1)))
 
             survivors = []
             for lo in range(0, len(remaining), chunk):
@@ -147,8 +145,7 @@ class Mphf:
             )
             del counts
 
-        fallback = {int(key): offset + j for j, key in enumerate(remaining.tolist())}
-        return cls(len(keys), gamma, master_seed, levels, fallback)
+        return cls(gamma, master_seed, level_bits, remaining)
 
     def query_batch(self, keys: np.ndarray) -> np.ndarray:
         """Index in [0, n_keys-1] per key, NOT_FOUND (-1) for rejected aliens."""
@@ -196,68 +193,3 @@ class Mphf:
 
     def size_bits(self) -> int:
         return sum(level.bits() for level in self.levels) + 128 * len(self.fallback)
-
-    def serialize(self) -> bytes:
-        out = [MAGIC]
-        out.append(
-            struct.pack(
-                "<QdQII",
-                self.n_keys,
-                self.gamma,
-                self.master_seed,
-                len(self.levels),
-                len(self.fallback),
-            )
-        )
-        for level in self.levels:
-            out.append(
-                struct.pack(
-                    "<QQQQQ",
-                    level.size,
-                    level.seed,
-                    level.index_offset,
-                    len(level.occupied),
-                    len(level.rank_blocks),
-                )
-            )
-            out.append(level.occupied.tobytes())
-            out.append(level.collided.tobytes())
-            out.append(level.rank_blocks.tobytes())
-        for key in sorted(self.fallback):
-            out.append(struct.pack("<QQ", key, self.fallback[key]))
-        return b"".join(out)
-
-    @classmethod
-    def deserialize(cls, data: bytes) -> "Mphf":
-        try:
-            if data[:8] != MAGIC:
-                raise MphfFormatError("bad MPHF magic")
-            off = 8
-            n_keys, gamma, master_seed, n_levels, n_fallback = struct.unpack_from(
-                "<QdQII", data, off
-            )
-            off += struct.calcsize("<QdQII")
-            levels: list[_Level] = []
-            for _ in range(n_levels):
-                size, seed, index_offset, n_words, n_blocks = struct.unpack_from(
-                    "<QQQQQ", data, off
-                )
-                off += 40
-                occupied = np.frombuffer(data, dtype=U64, count=n_words, offset=off).copy()
-                off += 8 * n_words
-                collided = np.frombuffer(data, dtype=U64, count=n_words, offset=off).copy()
-                off += 8 * n_words
-                blocks = np.frombuffer(data, dtype=U64, count=n_blocks, offset=off).copy()
-                off += 8 * n_blocks
-                levels.append(_Level(size, seed, occupied, collided, blocks, index_offset))
-            fallback = {}
-            for _ in range(n_fallback):
-                key, idx = struct.unpack_from("<QQ", data, off)
-                off += 16
-                fallback[key] = idx
-            if off > len(data):
-                raise MphfFormatError("truncated MPHF stream")
-        except (struct.error, ValueError) as exc:
-            raise MphfFormatError(f"corrupt MPHF stream: {exc}") from exc
-        return cls(n_keys, gamma, master_seed, levels, fallback)
-

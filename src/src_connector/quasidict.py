@@ -11,21 +11,26 @@ false positives are impossible (exact mode).
 
 import struct
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .bitpack import PackedArray
-from .kmers import DEFAULT_MEMORY_BUDGET, SolidKmerSet, count_solid_kmers
+from .bitpack import WORD_BITS, PackedArray
+from .kmers import DEFAULT_MEMORY_BUDGET, MAX_K, SolidKmerSet, count_solid_kmers
 from .mphf import DEFAULT_GAMMA, DEFAULT_MASTER_SEED, Mphf
 
 U64 = np.uint64
 
 NOT_INDEXED = -1
-MAGIC = b"QDIX0001"
+MAGIC = b"QDIX0002"
 
 _MASK64 = (1 << 64) - 1
 
+# magic, k, t, f, n_keys, gamma, master_seed, n_levels, n_fallback, flags,
+# bank digest: 96 bytes, so every array section after it is 8-byte aligned
+_HEADER = struct.Struct("<8sQQQQdQQQQ16s")
+_LEVEL_SIZE = struct.Struct("<Q")
 _FLAG_COUNTS = 1  # index file carries the per-slot count table
 
 
@@ -67,11 +72,15 @@ class QueryResult:
 class QuasiDictionary:
     """Immutable after construction; safe for concurrent queries."""
 
-    def __init__(self, k: int, f: int, mphf: Mphf, fingerprints: PackedArray):
+    def __init__(
+        self, k: int, t: int, f: int, mphf: Mphf, fingerprints: PackedArray, bank_digest: bytes
+    ):
         self.k = k
+        self.t = t  # solidity threshold the indexed k-mers passed
         self.f = f
         self.mphf = mphf
         self.fingerprints = fingerprints
+        self.bank_digest = bank_digest  # seqio.BankDigest of the indexed bank's reads
         self.n_keys = mphf.n_keys
         self.exact = f == 2 * k
 
@@ -91,7 +100,7 @@ class QuasiDictionary:
         if not 1 <= f <= min(2 * solid.k, 62):
             raise ValueError(f"f must be in [1, {min(2 * solid.k, 62)}] for k={solid.k}")
         mphf = Mphf.build(solid.codes, gamma=gamma, master_seed=master_seed)
-        qd = cls(solid.k, f, mphf, PackedArray(solid.n, f))
+        qd = cls(solid.k, solid.t, f, mphf, PackedArray(solid.n, f), solid.bank_digest)
         chunk = 1 << 21  # keys per fill pass, bounds temporary allocations
         for lo in range(0, solid.n, chunk):
             part = solid.codes[lo : lo + chunk]
@@ -131,67 +140,28 @@ class QuasiDictionary:
     def size_bits(self) -> int:
         return self.mphf.size_bits() + 64 * len(self.fingerprints.words)
 
-    # ---- persistence -------------------------------------------------
-
-    def to_bytes(self, counts: np.ndarray | None = None) -> bytes:
-        flags = _FLAG_COUNTS if counts is not None else 0
-        blob = self.mphf.serialize()
-        parts = [
-            MAGIC,
-            struct.pack(
-                "<IIQdQB",
-                self.k,
-                self.f,
-                self.n_keys,
-                self.mphf.gamma,
-                self.mphf.master_seed,
-                flags,
-            ),
-            struct.pack("<Q", len(blob)),
-            blob,
-            struct.pack("<Q", len(self.fingerprints.words)),
-            self.fingerprints.words.tobytes(),
-        ]
-        if counts is not None:
-            if len(counts) != self.n_keys or counts.dtype != np.uint8:
-                raise ValueError("count table must be n_keys uint8 entries")
-            parts.append(counts.tobytes())
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> tuple["QuasiDictionary", np.ndarray | None]:
-        try:
-            if data[:8] != MAGIC:
-                raise IndexFormatError("bad index magic")
-            off = 8
-            k, f, n_keys, _gamma, _seed, flags = struct.unpack_from("<IIQdQB", data, off)
-            off += struct.calcsize("<IIQdQB")
-            (blob_len,) = struct.unpack_from("<Q", data, off)
-            off += 8
-            mphf = Mphf.deserialize(data[off : off + blob_len])
-            off += blob_len
-            (n_words,) = struct.unpack_from("<Q", data, off)
-            off += 8
-            words = np.frombuffer(data, dtype=U64, count=n_words, offset=off).copy()
-            off += 8 * n_words
-            counts = None
-            if flags & _FLAG_COUNTS:
-                counts = np.frombuffer(data, dtype=np.uint8, count=n_keys, offset=off).copy()
-                off += n_keys
-        except (struct.error, ValueError) as exc:
-            raise IndexFormatError(f"corrupt index file: {exc}") from exc
-        if off != len(data):
-            raise IndexFormatError(
-                f"corrupt index file: {len(data) - off} bytes after the last section"
-            )
-        if mphf.n_keys != n_keys:
-            raise IndexFormatError("index header disagrees with embedded MPHF")
-        qd = cls(k, f, mphf, PackedArray(n_keys, f, words))
-        return qd, counts
-
     def save(self, path: str | Path, counts: np.ndarray | None = None) -> None:
+        """Write the index file: the _HEADER fields; per MPHF level its size
+        and its occupied and collided words; the fallback keys in index order;
+        the fingerprint words; the count table when given. Every section
+        length follows from the header and the level sizes."""
+        if counts is not None and (len(counts) != self.n_keys or counts.dtype != np.uint8):
+            raise ValueError("count table must be n_keys uint8 entries")
+        mphf = self.mphf
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes(counts))
+            fh.write(_HEADER.pack(
+                MAGIC, self.k, self.t, self.f, self.n_keys, mphf.gamma, mphf.master_seed,
+                len(mphf.levels), len(mphf.fallback),
+                _FLAG_COUNTS if counts is not None else 0, self.bank_digest,
+            ))
+            for level in mphf.levels:
+                fh.write(_LEVEL_SIZE.pack(level.size))
+                fh.write(level.occupied.tobytes())
+                fh.write(level.collided.tobytes())
+            fh.write(np.fromiter(mphf.fallback, dtype=U64, count=len(mphf.fallback)).tobytes())
+            fh.write(self.fingerprints.words.tobytes())
+            if counts is not None:
+                fh.write(counts.tobytes())
 
 
 def build_bank_index(
@@ -214,5 +184,60 @@ def build_bank_index(
 
 
 def load_index(path: str | Path) -> tuple[QuasiDictionary, np.ndarray | None]:
-    with open(path, "rb") as fh:
-        return QuasiDictionary.from_bytes(fh.read())
+    """Read a file written by QuasiDictionary.save: the dictionary and its
+    count table (None if it has none), as read-only views of one buffer.
+    Raises IndexFormatError unless the file is exactly what its header says."""
+    data = Path(path).read_bytes()
+    if data[:8] != MAGIC:
+        if data[:4] == MAGIC[:4]:
+            raise IndexFormatError(
+                f"unsupported index version {data[:8].decode('latin-1')} "
+                f"(this version reads {MAGIC.decode()}); rebuild the index"
+            )
+        raise IndexFormatError("bad index magic")
+    if len(data) < _HEADER.size:
+        raise _truncated(len(data), _HEADER.size)
+    _, k, t, f, n_keys, gamma, seed, n_levels, n_fallback, flags, digest = _HEADER.unpack_from(data)
+    for ok, problem in (
+        (1 <= k <= MAX_K, f"k={k} is outside [1, {MAX_K}]"),
+        (1 <= f <= min(2 * k, 62), f"f={f} is outside [1, {min(2 * k, 62)}]"),
+        (t >= 1, f"t={t} is below 1"),
+        (gamma > 1.0, f"gamma={gamma} is not above 1"),
+        (not flags & ~_FLAG_COUNTS, f"unknown flag bits {flags:#x}"),
+    ):
+        if not ok:
+            raise IndexFormatError(f"corrupt index file: {problem}")
+
+    off = _HEADER.size
+    levels = []  # (size, offset of its occupied words, words per bitvector)
+    for i in range(n_levels):
+        if off + _LEVEL_SIZE.size > len(data):
+            raise _truncated(len(data), off + _LEVEL_SIZE.size)
+        (size,) = _LEVEL_SIZE.unpack_from(data, off)
+        if size < 1:
+            raise IndexFormatError(f"corrupt index file: MPHF level {i} has no slots")
+        n_words = (size + WORD_BITS - 1) // WORD_BITS
+        levels.append((size, off + _LEVEL_SIZE.size, n_words))
+        off += _LEVEL_SIZE.size + 16 * n_words
+    n_fp_words = PackedArray.n_words(n_keys, f)
+    counts_at = off + 8 * (n_fallback + n_fp_words)
+    end = counts_at + (n_keys if flags & _FLAG_COUNTS else 0)
+    if end > len(data):
+        raise _truncated(len(data), end)
+    if end < len(data):
+        raise IndexFormatError(f"corrupt index file: {len(data) - end} bytes after the last section")
+
+    words = partial(np.frombuffer, data, U64)  # words(count, offset)
+    mphf = Mphf(
+        gamma, seed, [(size, words(n, at), words(n, at + 8 * n)) for size, at, n in levels],
+        words(n_fallback, off),
+    )
+    if mphf.n_keys != n_keys:
+        raise IndexFormatError(f"corrupt index file: {n_keys} keys in the header, {mphf.n_keys} in the MPHF")
+    fingerprints = PackedArray(n_keys, f, words(n_fp_words, off + 8 * n_fallback))
+    counts = np.frombuffer(data, np.uint8, n_keys, counts_at) if flags & _FLAG_COUNTS else None
+    return QuasiDictionary(k, t, f, mphf, fingerprints, digest), counts
+
+
+def _truncated(size: int, need: int) -> IndexFormatError:
+    return IndexFormatError(f"truncated index file: {size} bytes of at least {need}")

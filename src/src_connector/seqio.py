@@ -1,8 +1,9 @@
 """Streaming FASTA/FASTQ reading, plain or gzipped, with 0-based read ids,
-and the ordered worker loop that both tools run their read batches through."""
+the digest that ties an index to its bank's reads, and the ordered worker
+loop that both tools run their read batches through."""
 
 import gzip
-import io
+import hashlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -25,12 +26,10 @@ class ReadRecord:
 
 
 def _open_text(path: str | Path):
-    raw = open(path, "rb")
-    magic = raw.read(2)
-    raw.seek(0)
-    if magic == GZIP_MAGIC:
-        return io.TextIOWrapper(gzip.GzipFile(fileobj=raw), encoding="latin-1")
-    return io.TextIOWrapper(raw, encoding="latin-1")
+    # gzip.open owns the file it opens, so closing the reader closes the file
+    with open(path, "rb") as raw:
+        opener = gzip.open if raw.read(2) == GZIP_MAGIC else open
+    return opener(path, "rt", encoding="latin-1")
 
 
 class ReadStream:
@@ -135,6 +134,20 @@ def read_batches(
     here once it is yielded, so the consumer alone decides when it is freed."""
     records = iter(open_reads(reads) if isinstance(reads, (str, Path)) else reads)
     yield from iter(lambda: list(islice(records, batch_size)), [])
+
+
+class BankDigest:
+    """blake2b-128 over each read's sequence followed by a newline, so the
+    digest of a bank does not depend on how its reads are batched."""
+
+    def __init__(self):
+        self._hash = hashlib.blake2b(digest_size=16)
+
+    def update(self, seqs: list[str]) -> None:
+        self._hash.update("".join(s + "\n" for s in seqs).encode("latin-1"))
+
+    def digest(self) -> bytes:
+        return self._hash.digest()
 
 
 def ordered_map(fn: Callable, items: Iterable, threads: int) -> Iterator:

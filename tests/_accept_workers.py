@@ -11,5 +11,5 @@ def linker_peak_worker(bank_path: str, query_path: str, mode: str, out_path: str
     from src_connector.quasidict import build_bank_index
 
     qd = build_bank_index(bank_path, 31, 2, 12)[0]  # drops the solid set, as src link does
-    run_src_linker(qd, bank_path, query_path, out_path, 2, min_shared=2, mode=mode)
+    run_src_linker(qd, bank_path, query_path, out_path, min_shared=2, mode=mode)
     return _peak_rss_bytes()

@@ -42,16 +42,18 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def _solid_from(codes: np.ndarray) -> SolidKmerSet:
-    return SolidKmerSet(K, 1, codes, np.ones(len(codes), dtype=np.uint64), len(codes))
+    return SolidKmerSet(
+        K, 1, codes, np.ones(len(codes), dtype=np.uint64), len(codes), bank_digest=bytes(16)
+    )
 
 
 def _count(bank, query, t, f, out):
     qd, solid = build_bank_index(bank, K, t, f)
-    run_src_counter(qd, build_count_table(qd, solid.codes, solid.counts), query, out, t)
+    run_src_counter(qd, build_count_table(qd, solid.codes, solid.counts), query, out)
 
 
 def _link(bank, query, t, f, out, **kwargs):
-    run_src_linker(build_bank_index(bank, K, t, f)[0], bank, query, out, t, **kwargs)
+    run_src_linker(build_bank_index(bank, K, t, f)[0], bank, query, out, **kwargs)
 
 
 def _run_spawned(fn, *args):

@@ -22,7 +22,8 @@ def bank(tmp_path):
 
 
 def _data_lines(path):
-    return [line for line in open(path) if not line.startswith("#")]
+    with open(path) as fh:
+        return [line for line in fh if not line.startswith("#")]
 
 
 def test_count_end_to_end(bank, tmp_path):
@@ -139,6 +140,12 @@ def test_usage_error_index_param_mismatch(bank, tmp_path, capsys):
     )
     assert code == 1
     assert "f=" in capsys.readouterr().err
+    code = main(
+        ["link", "--index", str(idx), "-b", str(path), "-q", str(path), "-t", "2",
+         "-o", str(tmp_path / "o")]
+    )
+    assert code == 1
+    assert "t=" in capsys.readouterr().err
 
 
 def test_header_reports_loaded_index_params(bank, tmp_path):
@@ -151,7 +158,7 @@ def test_header_reports_loaded_index_params(bank, tmp_path):
     out = tmp_path / "out.tsv"
     assert main(["count", "--index", str(idx), "-q", str(path), "-o", str(out)]) == 0
     header = out.read_text().splitlines()[0]
-    assert "k=31" in header and "f=12" in header
+    assert "k=31 t=1 f=12" in header
     assert "gamma=3.0 seed=7" in header
 
 
@@ -164,6 +171,27 @@ def test_runtime_error_index_trailing_bytes(bank, tmp_path, capsys):
     code = main(["count", "--index", str(idx), "-q", str(path), "-o", str(tmp_path / "o")])
     assert code == 2
     assert "4 bytes after the last section" in capsys.readouterr().err
+
+
+def test_runtime_error_index_other_bank(bank, tmp_path, capsys):
+    path, _ = bank
+    other = tmp_path / "other.fa"
+    write_fasta(other, random_reads(np.random.default_rng(1), 30, 100))
+    idx = tmp_path / "bank.idx"
+    assert main(["index", "-b", str(path), "-t", "1", "-f", "12", "-o", str(idx)]) == 0
+    for mode in ("ram", "disk"):
+        code = main(
+            ["link", "--index", str(idx), "-b", str(other), "-q", str(other), "--mode", mode,
+             "-o", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "bank reads differ from those the index was built from" in capsys.readouterr().err
+    direct = tmp_path / "direct.txt"
+    reused = tmp_path / "reused.txt"
+    args = ["-b", str(path), "-q", str(path), "--min-shared", "1"]
+    assert main(["link", "-t", "1", "-f", "12"] + args + ["-o", str(direct)]) == 0
+    assert main(["link", "--index", str(idx)] + args + ["-o", str(reused)]) == 0
+    assert direct.read_bytes() == reused.read_bytes()
 
 
 def test_usage_error_exact_conflicts_with_f(bank, tmp_path):

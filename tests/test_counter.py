@@ -22,7 +22,7 @@ def _count_index(bank, k, t, f):
 
 def _count(bank, query, k, t, f, out_path, threads=1):
     qd, counts = _count_index(bank, k, t, f)
-    run_src_counter(qd, counts, query, out_path, t, threads=threads)
+    run_src_counter(qd, counts, query, out_path, threads=threads)
 
 
 def test_worked_example():

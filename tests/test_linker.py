@@ -32,7 +32,7 @@ def _disk_index(bank, k, t, f, tmp_dir=None):
 
 
 def _link(bank, query, k, t, f, out, **kwargs):
-    run_src_linker(build_bank_index(bank, k, t, f)[0], bank, query, out, t, **kwargs)
+    run_src_linker(build_bank_index(bank, k, t, f)[0], bank, query, out, **kwargs)
 
 
 def test_single_read_hand_trace():

@@ -1,8 +1,11 @@
+import gc
 import gzip
+import warnings
 
 import pytest
 
 from src_connector.seqio import (
+    BankDigest,
     ReadRecord,
     SequenceFormatError,
     open_reads,
@@ -45,6 +48,31 @@ def test_gzip_fasta(tmp_path):
     with gzip.open(gz, "wt") as fh:
         fh.write(FASTA)
     assert [r.sequence for r in open_reads(gz)] == ["ACGTACGT", "TTTT"]
+
+
+def test_gzip_closes_its_file(tmp_path):
+    gz = tmp_path / "reads.fa.gz"
+    with gzip.open(gz, "wt") as fh:
+        fh.write(FASTA)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert len(list(open_reads(gz))) == 2
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_bank_digest_ignores_batching():
+    seqs = ["ACGT", "", "TTGCA", "NNAC"]
+    whole = BankDigest()
+    whole.update(seqs)
+    split = BankDigest()
+    for part in (seqs[:1], [], seqs[1:3], seqs[3:]):
+        split.update(part)
+    assert whole.digest() == split.digest()
+    assert len(whole.digest()) == 16
+    joined = BankDigest()
+    joined.update(["ACGTTTGCA", "", "NNAC"])  # same bases, other read boundaries
+    assert joined.digest() != whole.digest()
 
 
 def test_unrecognized_format(tmp_path):
