@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from src_connector.bitpack import PackedArray
 from src_connector.mphf import (
     NOT_FOUND,
     Mphf,
     MphfError,
 )
+from src_connector.quasidict import IndexFormatError, QuasiDictionary, load_index
 
 
 def _random_keys(n, seed=0):
@@ -14,6 +16,12 @@ def _random_keys(n, seed=0):
     keys = np.unique(keys)
     assert len(keys) >= n
     return keys[:n]
+
+
+def _save_in_index(m, path):
+    """Save an MPHF as the index file stores it: wrapped in a k=31 dictionary."""
+    qd = QuasiDictionary(31, 1, 12, m, PackedArray(m.n_keys, 12), bytes(16))
+    qd.save(path)
 
 
 def _disjoint(n_keys, n_aliens, seed=0):
@@ -89,3 +97,29 @@ def test_build_deterministic():
 def test_gamma_validation():
     with pytest.raises(ValueError):
         Mphf.build(np.array([1], dtype=np.uint64), gamma=1.0)
+
+
+def test_serialize_roundtrip(tmp_path):
+    keys, aliens = _disjoint(10_000, 10_000, seed=7)
+    m = Mphf.build(keys)
+    path, resaved = tmp_path / "index.bin", tmp_path / "resaved.bin"
+    _save_in_index(m, path)
+    m2 = load_index(path)[0].mphf
+    probe = np.concatenate([keys, aliens])
+    assert (m.query_batch(probe) == m2.query_batch(probe)).all()
+    _save_in_index(m2, resaved)
+    assert resaved.read_bytes() == path.read_bytes()
+
+
+def test_serialize_roundtrip_empty(tmp_path):
+    path = tmp_path / "index.bin"
+    _save_in_index(Mphf.build(np.empty(0, dtype=np.uint64)), path)
+    assert load_index(path)[0].mphf.n_keys == 0
+
+
+def test_deserialize_bad_magic(tmp_path):
+    path = tmp_path / "index.bin"
+    _save_in_index(Mphf.build(np.array([5], dtype=np.uint64)), path)
+    path.write_bytes(b"NOTMAGIC" + path.read_bytes()[8:])
+    with pytest.raises(IndexFormatError):
+        load_index(path)
