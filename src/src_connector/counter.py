@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .kmers import encode_reads
-from .quasidict import QuasiDictionary
+from .quasidict import FILL_CHUNK, QuasiDictionary
 from .seqio import ReadRecord, ordered_map, read_batches
 
 COUNT_SATURATION = 255
@@ -39,9 +39,9 @@ class AbundanceRecord:
 
 def build_count_table(qd: QuasiDictionary, solid_codes: np.ndarray, solid_counts: np.ndarray) -> np.ndarray:
     counts = np.zeros(qd.n_keys, dtype=np.uint8)
-    if len(solid_codes):
-        idx = qd.query_batch(solid_codes)
-        counts[idx] = np.minimum(solid_counts, np.uint64(COUNT_SATURATION)).astype(np.uint8)
+    for lo in range(0, len(solid_codes), FILL_CHUNK):
+        idx = qd.query_batch(solid_codes[lo : lo + FILL_CHUNK])
+        counts[idx] = np.minimum(solid_counts[lo : lo + FILL_CHUNK], COUNT_SATURATION)
     return counts
 
 

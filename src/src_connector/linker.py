@@ -4,8 +4,9 @@ Each dictionary slot maps to the bank reads containing a k-mer with that
 slot. A query read is scanned left to right; a shared k-mer at position i
 counts for a target only if i is past the target's next free position,
 which then advances by k. Targets below the --min-shared threshold are
-dropped. The id table lives either in RAM (CSR layout) or in a temp file
-of zero-terminated blocks (ids stored +1 so 0 terminates).
+dropped. The id table lists each slot's bank reads once, ascending, either
+in RAM (CSR layout) or in a temp file of blocks that hold each read once as
+id+1, then a 0 terminator.
 """
 
 import os
@@ -37,8 +38,11 @@ class MatchRecord:
 
 
 def _bank_pairs(qd: QuasiDictionary, bank, batch_reads: int):
-    """Yield (slot, read_id) arrays for every indexed k-mer occurrence.
+    """Yield, per batch, (slot, read_id) arrays of its distinct pairs.
 
+    Pairs come ordered by slot, then by read id; read ids are _SLOT_DTYPE.
+    A read lies in one batch and ids ascend in bank order, so no pair
+    repeats across batches and each slot's ids ascend across them too.
     Once the whole bank is read, raises ValueError if its reads are not the
     ones qd was built from.
     """
@@ -48,65 +52,48 @@ def _bank_pairs(qd: QuasiDictionary, bank, batch_reads: int):
         digest.update(seqs)
         canon, _, ptr = encode_reads(seqs, qd.k)
         idx = qd.query_batch(canon)
-        rids = np.repeat(
-            np.fromiter((r.id for r in batch), dtype=np.int64, count=len(batch)),
-            np.diff(ptr),
-        )
+        pos = np.repeat(np.arange(len(batch), dtype=np.int64), np.diff(ptr))
         hit = idx >= 0
-        yield idx[hit], rids[hit]
+        # one key per occurrence, ordered by slot then position in the batch
+        key = np.sort(idx[hit] * len(batch) + pos[hit])
+        key = key[np.diff(key, prepend=-1) != 0]
+        rids = np.fromiter((r.id for r in batch), dtype=_SLOT_DTYPE, count=len(batch))
+        yield key // len(batch), rids[key % len(batch)]
     if digest.digest() != qd.bank_digest:
         raise ValueError("bank reads differ from those the index was built from")
 
 
 class ReadIdTable:
-    """CSR table: slot -> ascending, deduplicated bank read ids."""
+    """CSR table: slot -> ascending, distinct bank read ids."""
 
     def __init__(self, offsets: np.ndarray, ids: np.ndarray):
         self.offsets = offsets  # int64, n_slots + 1
-        self.ids = ids  # int64
+        self.ids = ids  # _SLOT_DTYPE
 
     @classmethod
     def build(cls, qd: QuasiDictionary, bank, batch_reads: int = 4096) -> "ReadIdTable":
-        slots: list[np.ndarray] = []
-        rids: list[np.ndarray] = []
+        slots = [np.empty(0, dtype=np.int64)]
+        rids = [np.empty(0, dtype=_SLOT_DTYPE)]
         for s, r in _bank_pairs(qd, bank, batch_reads):
             slots.append(s)
             rids.append(r)
-        if slots:
-            slot = np.concatenate(slots)
-            rid = np.concatenate(rids)
-        else:
-            slot = np.empty(0, dtype=np.int64)
-            rid = np.empty(0, dtype=np.int64)
+        slot = np.concatenate(slots)
+        rid = np.concatenate(rids)
         del slots, rids
-        order = np.lexsort((rid, slot))
-        slot = slot[order]
-        rid = rid[order]
-        del order
-        if len(slot):
-            keep = np.empty(len(slot), dtype=bool)
-            keep[0] = True
-            keep[1:] = (slot[1:] != slot[:-1]) | (rid[1:] != rid[:-1])
-            slot = slot[keep]
-            rid = rid[keep]
-        offsets = np.searchsorted(slot, np.arange(qd.n_keys + 1, dtype=np.int64))
-        return cls(offsets.astype(np.int64), rid)
+        offsets = np.zeros(qd.n_keys + 1, dtype=np.int64)
+        np.cumsum(np.bincount(slot, minlength=qd.n_keys), out=offsets[1:])
+        # batches come in read order, so a stable sort keeps each slot's ids ascending
+        return cls(offsets, rid[np.argsort(slot, kind="stable")])
 
     def get(self, slot: int) -> np.ndarray:
         return self.ids[self.offsets[slot] : self.offsets[slot + 1]]
 
-    @property
-    def avg_ids_per_entry(self) -> float:
-        n_slots = len(self.offsets) - 1
-        return len(self.ids) / n_slots if n_slots else 0.0
-
 
 class DiskIdTable:
-    """Temp-file table: per slot, a zero-terminated block of 4-byte (id+1) values.
+    """Temp-file table: per slot, a block holding each of its bank reads once,
+    ascending, as 4-byte id+1 values, then a 0 terminator.
 
-    Blocks may contain duplicate ids (one per k-mer occurrence); get()
-    deduplicates. Keeps only one offset per slot in RAM. Owns the file:
-    close() deletes it.
+    Keeps only one offset per slot in RAM. Owns the file: close() deletes it.
     """
 
     def __init__(self, offsets: np.ndarray, path: str):
@@ -115,13 +102,13 @@ class DiskIdTable:
         self._fd = os.open(path, os.O_RDONLY)
 
     def get(self, slot: int) -> np.ndarray:
-        """Ascending, deduplicated bank read ids of a slot."""
+        """Ascending, distinct bank read ids of a slot."""
         lo, hi = int(self.offsets[slot]), int(self.offsets[slot + 1])
         # one positioned read, so concurrent readers share no file position
         block = np.frombuffer(os.pread(self._fd, 4 * (hi - lo), 4 * lo), dtype=_SLOT_DTYPE)
         if len(block) != hi - lo or block[-1] != 0:
             raise IOError(f"{self.path}: unterminated id block for slot {slot}")
-        return np.unique(block[:-1]).astype(np.int64) - 1
+        return block[:-1] - 1
 
     def close(self) -> None:
         os.close(self._fd)
@@ -132,7 +119,7 @@ def _build_disk_table(
     qd: QuasiDictionary, bank, tmp_dir: str | None = None, batch_reads: int = 4096
 ) -> DiskIdTable:
     n = qd.n_keys
-    # pass 1: occurrences per slot, bank-side false positives included
+    # pass 1: distinct reads per slot, bank-side false positives included
     occ = np.zeros(n, dtype=np.int64)
     for slot, _ in _bank_pairs(qd, bank, batch_reads):
         np.add.at(occ, slot, 1)
@@ -146,27 +133,17 @@ def _build_disk_table(
     os.close(fd)
     table = DiskIdTable(offsets, tmp_path)
 
-    # pass 3: rewrite each occurrence's id over the first free zero of its block
+    # pass 3: write each pair after the ids its slot got from earlier batches
     if not total_slots:
         return table
     try:
         mm = np.memmap(tmp_path, dtype=_SLOT_DTYPE, mode="r+", shape=(total_slots,))
         cursor = np.zeros(n, dtype=np.int64)
         for slot, rid in _bank_pairs(qd, bank, batch_reads):
-            order = np.argsort(slot, kind="stable")
-            slot_s = slot[order]
-            rid_s = rid[order]
-            if len(slot_s) == 0:
-                continue
-            grp_start = np.empty(len(slot_s), dtype=bool)
-            grp_start[0] = True
-            grp_start[1:] = slot_s[1:] != slot_s[:-1]
-            starts = np.flatnonzero(grp_start)
-            sizes = np.diff(np.append(starts, len(slot_s)))
-            within = np.arange(len(slot_s), dtype=np.int64) - np.repeat(starts, sizes)
-            target = offsets[slot_s] + cursor[slot_s] + within
-            mm[target] = (rid_s + 1).astype(_SLOT_DTYPE)
-            np.add.at(cursor, slot_s[starts], sizes)
+            # slot is sorted: its rank among this batch's pairs of the same slot
+            rank = np.arange(len(slot)) - np.searchsorted(slot, slot)
+            mm[offsets[slot] + cursor[slot] + rank] = rid + 1
+            np.add.at(cursor, slot, 1)
         mm.flush()
         del mm
     except BaseException:

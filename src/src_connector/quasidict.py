@@ -9,6 +9,7 @@ With f = 2k the fingerprint is the raw code itself, which is injective, so
 false positives are impossible (exact mode).
 """
 
+import hashlib
 import struct
 from dataclasses import dataclass
 from functools import partial
@@ -23,13 +24,16 @@ from .mphf import DEFAULT_GAMMA, DEFAULT_MASTER_SEED, Mphf
 U64 = np.uint64
 
 NOT_INDEXED = -1
-MAGIC = b"QDIX0002"
+FILL_CHUNK = 1 << 21  # keys per pass that fills a per-slot table, bounds temporaries
+MAGIC = b"QDIX0003"
 
 _MASK64 = (1 << 64) - 1
 
 # magic, k, t, f, n_keys, gamma, master_seed, n_levels, n_fallback, flags,
-# bank digest: 96 bytes, so every array section after it is 8-byte aligned
-_HEADER = struct.Struct("<8sQQQQdQQQQ16s")
+# bank digest, checksum: 112 bytes, so every array section after it is
+# 8-byte aligned. The checksum is the 16-byte blake2b of every other byte.
+_HEADER = struct.Struct("<8sQQQQdQQQQ16s16s")
+_CHECKSUM_AT = _HEADER.size - 16
 _LEVEL_SIZE = struct.Struct("<Q")
 _FLAG_COUNTS = 1  # index file carries the per-slot count table
 
@@ -101,9 +105,8 @@ class QuasiDictionary:
             raise ValueError(f"f must be in [1, {min(2 * solid.k, 62)}] for k={solid.k}")
         mphf = Mphf.build(solid.codes, gamma=gamma, master_seed=master_seed)
         qd = cls(solid.k, solid.t, f, mphf, PackedArray(solid.n, f), solid.bank_digest)
-        chunk = 1 << 21  # keys per fill pass, bounds temporary allocations
-        for lo in range(0, solid.n, chunk):
-            part = solid.codes[lo : lo + chunk]
+        for lo in range(0, solid.n, FILL_CHUNK):
+            part = solid.codes[lo : lo + FILL_CHUNK]
             idx = mphf.query_batch(part)
             qd.fingerprints.set_many(idx, qd._fingerprints_of(part))
         return qd
@@ -148,20 +151,25 @@ class QuasiDictionary:
         if counts is not None and (len(counts) != self.n_keys or counts.dtype != np.uint8):
             raise ValueError("count table must be n_keys uint8 entries")
         mphf = self.mphf
+        head = _HEADER.pack(
+            MAGIC, self.k, self.t, self.f, self.n_keys, mphf.gamma, mphf.master_seed,
+            len(mphf.levels), len(mphf.fallback),
+            _FLAG_COUNTS if counts is not None else 0, self.bank_digest, bytes(16),
+        )[:_CHECKSUM_AT]
+        sections = []
+        for level in mphf.levels:
+            sections += [_LEVEL_SIZE.pack(level.size), level.occupied, level.collided]
+        sections.append(np.fromiter(mphf.fallback, dtype=U64, count=len(mphf.fallback)))
+        sections.append(self.fingerprints.words)
+        if counts is not None:
+            sections.append(counts)
+        checksum = hashlib.blake2b(head, digest_size=16)
+        for section in sections:
+            checksum.update(section)
         with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(
-                MAGIC, self.k, self.t, self.f, self.n_keys, mphf.gamma, mphf.master_seed,
-                len(mphf.levels), len(mphf.fallback),
-                _FLAG_COUNTS if counts is not None else 0, self.bank_digest,
-            ))
-            for level in mphf.levels:
-                fh.write(_LEVEL_SIZE.pack(level.size))
-                fh.write(level.occupied.tobytes())
-                fh.write(level.collided.tobytes())
-            fh.write(np.fromiter(mphf.fallback, dtype=U64, count=len(mphf.fallback)).tobytes())
-            fh.write(self.fingerprints.words.tobytes())
-            if counts is not None:
-                fh.write(counts.tobytes())
+            fh.write(head + checksum.digest())
+            for section in sections:
+                fh.write(section)
 
 
 def build_bank_index(
@@ -197,7 +205,9 @@ def load_index(path: str | Path) -> tuple[QuasiDictionary, np.ndarray | None]:
         raise IndexFormatError("bad index magic")
     if len(data) < _HEADER.size:
         raise _truncated(len(data), _HEADER.size)
-    _, k, t, f, n_keys, gamma, seed, n_levels, n_fallback, flags, digest = _HEADER.unpack_from(data)
+    _, k, t, f, n_keys, gamma, seed, n_levels, n_fallback, flags, digest, checksum = (
+        _HEADER.unpack_from(data)
+    )
     for ok, problem in (
         (1 <= k <= MAX_K, f"k={k} is outside [1, {MAX_K}]"),
         (1 <= f <= min(2 * k, 62), f"f={f} is outside [1, {min(2 * k, 62)}]"),
@@ -234,6 +244,11 @@ def load_index(path: str | Path) -> tuple[QuasiDictionary, np.ndarray | None]:
     )
     if mphf.n_keys != n_keys:
         raise IndexFormatError(f"corrupt index file: {n_keys} keys in the header, {mphf.n_keys} in the MPHF")
+    view = memoryview(data)
+    actual = hashlib.blake2b(view[:_CHECKSUM_AT], digest_size=16)
+    actual.update(view[_HEADER.size :])
+    if actual.digest() != checksum:
+        raise IndexFormatError("corrupt index file: checksum mismatch")
     fingerprints = PackedArray(n_keys, f, words(n_fp_words, off + 8 * n_fallback))
     counts = np.frombuffer(data, np.uint8, n_keys, counts_at) if flags & _FLAG_COUNTS else None
     return QuasiDictionary(k, t, f, mphf, fingerprints, digest), counts

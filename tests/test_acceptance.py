@@ -62,7 +62,8 @@ def _run_spawned(fn, *args):
 
 
 def _data_lines(path) -> list[str]:
-    return [line for line in open(path) if not line.startswith("#")]
+    with open(path) as fh:
+        return [line for line in fh if not line.startswith("#")]
 
 
 # ---------------------------------------------------------------- fixtures

@@ -173,6 +173,18 @@ def test_runtime_error_index_trailing_bytes(bank, tmp_path, capsys):
     assert "4 bytes after the last section" in capsys.readouterr().err
 
 
+def test_runtime_error_index_flipped_byte(bank, tmp_path, capsys):
+    path, _ = bank
+    idx = tmp_path / "bank.idx"
+    assert main(["index", "-b", str(path), "-t", "1", "-o", str(idx)]) == 0
+    blob = bytearray(idx.read_bytes())
+    blob[-1] ^= 1  # a count byte: the layout stays valid, only the checksum differs
+    idx.write_bytes(bytes(blob))
+    code = main(["count", "--index", str(idx), "-q", str(path), "-o", str(tmp_path / "o")])
+    assert code == 2
+    assert "checksum" in capsys.readouterr().err
+
+
 def test_runtime_error_index_other_bank(bank, tmp_path, capsys):
     path, _ = bank
     other = tmp_path / "other.fa"

@@ -3,8 +3,10 @@ import time
 import numpy as np
 import pytest
 
+from src_connector import counter
 from src_connector.counter import build_count_table, estimate_batch, run_src_counter
-from src_connector.quasidict import build_bank_index
+from src_connector.kmers import SolidKmerSet
+from src_connector.quasidict import QuasiDictionary, build_bank_index
 from src_connector.seqio import ReadRecord
 
 from _datagen import random_reads, write_fasta
@@ -50,6 +52,21 @@ def test_count_saturation():
     qd, counts = _count_index(_records(bank), k=4, t=1, f=8)
     rec = estimate_batch(qd, counts, [ReadRecord(0, "AAAA")])[0]
     assert rec.max == 255
+
+
+def test_count_table_chunks_match_per_key(monkeypatch):
+    monkeypatch.setattr(counter, "FILL_CHUNK", 777)  # 5000 keys: six full chunks and a part
+    rng = np.random.default_rng(9)
+    codes = np.unique(rng.integers(0, 1 << 62, 5000, dtype=np.uint64))
+    solid_counts = rng.integers(1, 600, len(codes)).astype(np.uint64)
+    solid = SolidKmerSet(31, 1, codes, solid_counts, len(codes), bank_digest=bytes(16))
+    qd = QuasiDictionary.create(solid, 12)
+    table = build_count_table(qd, codes, solid_counts)
+    expect = np.zeros(qd.n_keys, dtype=np.uint8)
+    for code, count in zip(codes.tolist(), solid_counts.tolist()):
+        expect[qd.query(code).index] = min(count, 255)
+    assert table.dtype == np.uint8
+    assert np.array_equal(table, expect)
 
 
 def test_read_shorter_than_k():
@@ -107,7 +124,7 @@ def test_empty_query(tmp_path):
     out = tmp_path / "out.tsv"
     _count(bank, query, 6, 1, 12, out)
     assert parse_counter_output(out) == []
-    assert all(line.startswith("#") for line in open(out))
+    assert all(line.startswith("#") for line in out.read_text().splitlines())
 
 
 def test_output_order_and_cardinality(tmp_path):

@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from src_connector.kmers import encode_reads
 from src_connector.linker import (
     ReadIdTable,
     _build_disk_table,
@@ -128,9 +129,9 @@ def test_disk_block_hand_trace(tmp_path):
     qd, disk = _disk_index(_records(["AAAAAA"]), k=3, t=1, f=6, tmp_dir=str(tmp_path))
     try:
         raw = np.fromfile(disk.path, dtype=np.uint32)
-        # one block: 4 occurrences of read 0 stored +1, then the 0 terminator
-        assert raw.tolist() == [1, 1, 1, 1, 0]
-        assert np.unique(disk.get(0)).tolist() == [0]
+        # one block: read 0 once (4 occurrences) stored +1, then the 0 terminator
+        assert raw.tolist() == [1, 0]
+        assert disk.get(0).tolist() == [0]
     finally:
         disk.close()
 
@@ -234,4 +235,30 @@ def test_run_linker_bad_mode(tmp_path):
 
 def test_avg_ids_per_entry():
     qd, ids = _ram_index(_records(["AAAAAA", "AAAAAA"]), k=3, t=1, f=6)
-    assert ids.avg_ids_per_entry == 2.0
+    for slot in range(qd.n_keys):
+        assert ids.get(slot).tolist() == [0, 1]  # two identical reads each keep their id
+
+
+@pytest.mark.parametrize("batch_reads", [3, 4096])
+def test_ids_across_batches(tmp_path, batch_reads):
+    # a family's reads fall into different batches at batch_reads=3
+    rng = np.random.default_rng(8)
+    bank = _records(planted_family_reads(rng, n_families=20, family_size=4, n_background=120))
+    qd = build_bank_index(bank, 31, 1, 12)[0]
+    ram = ReadIdTable.build(qd, bank, batch_reads)
+    disk = _build_disk_table(qd, bank, str(tmp_path), batch_reads)
+    expect = [set() for _ in range(qd.n_keys)]
+    for read in bank:
+        for slot in qd.query_batch(encode_reads([read.sequence], 31)[0]).tolist():
+            if slot >= 0:
+                expect[slot].add(read.id)
+    try:
+        for slot in range(qd.n_keys):
+            got, want = disk.get(slot), ram.get(slot)
+            assert got.dtype == want.dtype == np.uint32
+            assert np.array_equal(got, want)
+            assert (np.diff(want.astype(np.int64)) > 0).all()
+            assert set(want.tolist()) == expect[slot]
+    finally:
+        disk.close()
+    assert any(len(ids) > 1 for ids in expect)

@@ -199,7 +199,7 @@ def test_load_bad_magic(tmp_path):
 
 
 # byte offsets of header fields (see quasidict._HEADER); MPHF level 0 follows them
-_K, _T, _F, _GAMMA, _FLAGS, _LEVEL0 = 8, 16, 24, 40, 72, 96
+_K, _T, _F, _GAMMA, _FLAGS, _LEVEL0 = 8, 16, 24, 40, 72, 112
 
 
 def _put(fmt, at, value):
@@ -211,8 +211,13 @@ def _cut(section, into):
     return lambda blob, sections: blob.__delitem__(slice(sections[section] + into, None))
 
 
-def _flip_first_occupied_bit(blob, sections):
-    blob[_LEVEL0 + 8] ^= 1  # level 0: 8-byte size, then its occupied words
+def _flip(section, at, mask=1):
+    """XOR one byte `at` bytes past the start of a section."""
+
+    def edit(blob, sections):
+        blob[sections[section] + at] ^= mask
+
+    return edit
 
 
 @pytest.fixture(scope="module")
@@ -226,7 +231,9 @@ def saved_index(tmp_path_factory):
     counts_at = len(blob) - solid.n
     sections = {
         "header": 0,
+        # level 0: 8-byte size, then its occupied words, then its collided words
         "level": _LEVEL0,
+        "collided": _LEVEL0 + 8 + 8 * qd.mphf.levels[0].occupied.size,
         "fingerprints": counts_at - 8 * len(qd.fingerprints.words),
         "counts": counts_at,
     }
@@ -238,6 +245,7 @@ def saved_index(tmp_path_factory):
     [
         pytest.param(_put("8s", 0, b"NOTMAGIC"), "bad index magic", id="bad-magic"),
         pytest.param(_put("8s", 0, b"QDIX0001"), "unsupported index version", id="version-1"),
+        pytest.param(_put("8s", 0, b"QDIX0002"), "unsupported index version", id="version-2"),
         pytest.param(_cut("header", 50), "truncated", id="cut-header"),
         pytest.param(_cut("level", 8 + 20), "truncated", id="cut-level"),
         pytest.param(_cut("fingerprints", 12), "truncated", id="cut-fingerprints"),
@@ -253,8 +261,11 @@ def saved_index(tmp_path_factory):
         pytest.param(_put("<Q", _T, 0), "t=0", id="t-0"),
         pytest.param(_put("<d", _GAMMA, 1.0), "gamma=1.0", id="gamma-1"),
         pytest.param(_put("<Q", _FLAGS, 3), "unknown flag bits", id="unknown-flag"),
-        pytest.param(_flip_first_occupied_bit, "keys", id="flipped-occupied-bit"),
+        pytest.param(_flip("level", 8), "keys", id="flipped-occupied-bit"),
         pytest.param(_put("<Q", _LEVEL0, 0), "no slots", id="empty-level"),
+        pytest.param(_flip("collided", 0), "checksum", id="flipped-collided-bit"),
+        pytest.param(_flip("fingerprints", 3, 0x10), "checksum", id="flipped-fingerprint-bit"),
+        pytest.param(_flip("counts", 7, 0xFF), "checksum", id="changed-count-byte"),
     ],
 )
 def test_load_rejects_corrupt_index(tmp_path, saved_index, edit, message):
