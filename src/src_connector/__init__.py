@@ -2,24 +2,14 @@
 
 __version__ = "0.1.0"
 
-from .kmers import (
-    INVALID,
-    MAX_K,
-    SolidKmerSet,
-    canonicalize,
-    count_solid_kmers,
-    encode_kmer,
-    enumerate_kmers,
-    reverse_complement,
-)
+from .kmers import MAX_K, SolidKmerSet, count_solid_kmers, encode_reads
 from .mphf import NOT_FOUND, Mphf
-from .quasidict import NOT_INDEXED, QuasiDictionary, build_bank_index, fingerprint, load_index
+from .quasidict import NOT_INDEXED, QuasiDictionary, build_bank_index, load_index
 from .counter import AbundanceRecord, build_count_table, estimate_batch, run_src_counter
-from .linker import DiskIdTable, MatchRecord, ReadIdTable, run_src_linker
-from .seqio import ReadRecord, ReadStream, open_reads
+from .linker import DiskIdTable, MatchRecord, ReadIdTable, link_batch, run_src_linker
+from .seqio import ReadRecord, ReadStream
 
 __all__ = [
-    "INVALID",
     "MAX_K",
     "NOT_FOUND",
     "NOT_INDEXED",
@@ -34,15 +24,11 @@ __all__ = [
     "SolidKmerSet",
     "build_bank_index",
     "build_count_table",
-    "canonicalize",
     "count_solid_kmers",
-    "encode_kmer",
-    "enumerate_kmers",
+    "encode_reads",
     "estimate_batch",
-    "fingerprint",
+    "link_batch",
     "load_index",
-    "open_reads",
-    "reverse_complement",
     "run_src_counter",
     "run_src_linker",
 ]

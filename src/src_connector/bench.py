@@ -20,7 +20,7 @@ from .mphf import DEFAULT_GAMMA, DEFAULT_MASTER_SEED
 from .quasidict import QuasiDictionary
 
 DEFAULT_SIZES = (10_000, 100_000, 1_000_000, 10_000_000)
-DEFAULT_ALIENS = 1_000_000
+N_ALIENS = 1_000_000  # alien keys per size; also caps the keys probed
 
 CSV_COLUMNS = [
     "n_keys",
@@ -88,7 +88,7 @@ def bench_quasidict_worker(
     qd = QuasiDictionary.create(solid, f, gamma=gamma, master_seed=seed)
     build_s, build_cpu = time.perf_counter() - w0, time.process_time() - c0
 
-    probe = keys[: min(n, DEFAULT_ALIENS)]
+    probe = keys[: min(n, N_ALIENS)]
     w0, c0 = time.perf_counter(), time.process_time()
     res = qd.query_batch(probe)
     query_s, query_cpu = time.perf_counter() - w0, time.process_time() - c0
@@ -118,7 +118,7 @@ def bench_hashmap_worker(
     table = dict(zip(keys.tolist(), range(n)))
     build_s, build_cpu = time.perf_counter() - w0, time.process_time() - c0
 
-    probe = keys[: min(n, DEFAULT_ALIENS)].tolist()
+    probe = keys[: min(n, N_ALIENS)].tolist()
     w0, c0 = time.perf_counter(), time.process_time()
     for key in probe:
         table[key]
@@ -136,6 +136,9 @@ def bench_hashmap_worker(
     }
 
 
+STRUCTURES = {"quasidict": bench_quasidict_worker, "hashmap": bench_hashmap_worker}
+
+
 def run_isolated(fn, *args):
     """Run fn(*args) in a fresh spawned process, so ru_maxrss is its own."""
     ctx = mp.get_context("spawn")
@@ -149,24 +152,20 @@ def run_bench(
     k: int = MAX_K,
     gamma: float = DEFAULT_GAMMA,
     seed: int = DEFAULT_MASTER_SEED,
-    n_aliens: int = DEFAULT_ALIENS,
     out_path: str | None = None,
-    structures=("quasidict", "hashmap"),
 ) -> list[dict]:
-    workers = {"quasidict": bench_quasidict_worker, "hashmap": bench_hashmap_worker}
+    """One row per size and STRUCTURES entry, each measured in its own process."""
     rows = []
     with tempfile.TemporaryDirectory(prefix="src_bench_") as tmp:
         for n in sizes:
-            keys, aliens = make_disjoint_sets(n, n_aliens, k=k, seed=seed)
+            keys, aliens = make_disjoint_sets(n, N_ALIENS, k=k, seed=seed)
             keys_path = os.path.join(tmp, "keys.bin")
             aliens_path = os.path.join(tmp, "aliens.bin")
             keys.tofile(keys_path)
             aliens.tofile(aliens_path)
             del keys, aliens
-            for structure in structures:
-                stats = run_isolated(
-                    workers[structure], keys_path, aliens_path, k, f, gamma, seed
-                )
+            for structure, worker in STRUCTURES.items():
+                stats = run_isolated(worker, keys_path, aliens_path, k, f, gamma, seed)
                 row = {"n_keys": n, "f": f, "structure": structure}
                 row.update(stats)
                 rows.append(row)

@@ -144,6 +144,3 @@ class PackedArray:
             U64(0),
         )
         return (lo | hi) & self._mask
-
-    def get(self, index: int) -> int:
-        return int(self.get_many(np.array([index], dtype=np.int64))[0])

@@ -27,6 +27,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type of --threads and --min-shared."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser, default_f: int) -> None:
     sub.add_argument("-b", "--bank", help="bank read file (FASTA/FASTQ, optionally gzipped)")
     sub.add_argument("-k", type=int, default=None, help=f"k-mer length (default {MAX_K})")
@@ -92,15 +103,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_count, default_f=8)
     p_count.add_argument("-q", "--query", required=True, help="query read file")
     p_count.add_argument("--index", help="prebuilt bank index (from 'src index')")
-    p_count.add_argument("--threads", type=int, default=os.cpu_count())
+    p_count.add_argument("--threads", type=_at_least_one, default=os.cpu_count() or 1)
 
     p_link = subs.add_parser("link", help="report bank reads similar to each query read")
     _add_common(p_link, default_f=12)
     p_link.add_argument("-q", "--query", required=True, help="query read file")
     p_link.add_argument("--index", help="prebuilt bank index (from 'src index')")
-    p_link.add_argument("--threads", type=int, default=os.cpu_count())
+    p_link.add_argument("--threads", type=_at_least_one, default=os.cpu_count() or 1)
     p_link.add_argument(
-        "--min-shared", type=int, default=DEFAULT_MIN_SHARED,
+        "--min-shared", type=_at_least_one, default=DEFAULT_MIN_SHARED,
         help="report targets sharing at least this many non-overlapping k-mers",
     )
     p_link.add_argument("--mode", choices=("ram", "disk"), default="ram")
@@ -152,7 +163,7 @@ def cmd_count(args) -> int:
         qd, solid = _build(args, k, t, f)
         counts = build_count_table(qd, solid.codes, solid.counts)
         del solid
-    run_src_counter(qd, counts, args.query, args.out, threads=max(args.threads, 1))
+    run_src_counter(qd, counts, args.query, args.out, threads=args.threads)
     return EXIT_OK
 
 
@@ -165,7 +176,7 @@ def cmd_link(args) -> int:
     _require_bank(args)  # the id table is always rebuilt from the bank reads
     run_src_linker(
         qd, args.bank, args.query, args.out,
-        min_shared=args.min_shared, mode=args.mode, threads=max(args.threads, 1),
+        min_shared=args.min_shared, mode=args.mode, threads=args.threads,
         no_self=args.no_self, tmp_dir=args.tmp_dir, sidecar_path=args.sidecar,
     )
     return EXIT_OK

@@ -19,16 +19,12 @@ from .seqio import BankDigest, ReadRecord, read_batches
 U64 = np.uint64
 
 MAX_K = 31
-INVALID = (1 << 64) - 1
 
 DEFAULT_MEMORY_BUDGET = 4 << 30  # bytes of buffered k-mer codes before spilling
+COUNT_CHUNK_READS = 16_384  # reads encoded per pass of count_solid_kmers
 
-_BASES = "ACGT"
-_CODE_OF = {"A": 0, "C": 1, "G": 2, "T": 3, "a": 0, "c": 1, "g": 2, "t": 3}
-
-_CODE_LUT = np.full(256, 255, dtype=np.uint8)
-for _b, _c in _CODE_OF.items():
-    _CODE_LUT[ord(_b)] = _c
+_CODE_LUT = np.full(256, 255, dtype=np.uint8)  # base value per byte, 255 for non-ACGT
+_CODE_LUT[np.frombuffer(b"ACGTacgt", dtype=np.uint8)] = [0, 1, 2, 3, 0, 1, 2, 3]
 
 _M2 = U64(0x3333333333333333)
 _M4 = U64(0x0F0F0F0F0F0F0F0F)
@@ -39,36 +35,8 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
 
 
-def encode_kmer(seq: str) -> int:
-    """2-bit pack a k-base window; INVALID if any base is not ACGT."""
-    code = 0
-    for ch in seq:
-        v = _CODE_OF.get(ch)
-        if v is None:
-            return INVALID
-        code = (code << 2) | v
-    return code
-
-
-def decode_kmer(code: int, k: int) -> str:
-    return "".join(_BASES[(code >> (2 * (k - 1 - p))) & 3] for p in range(k))
-
-
-def reverse_complement(code: int, k: int) -> int:
-    """Code of the reverse complement sequence."""
-    x = code ^ ((1 << (2 * k)) - 1)  # flips both bits of a base: b -> 3-b
-    x = ((x >> 2) & 0x3333333333333333) | ((x & 0x3333333333333333) << 2)
-    x = ((x >> 4) & 0x0F0F0F0F0F0F0F0F) | ((x & 0x0F0F0F0F0F0F0F0F) << 4)
-    x = int.from_bytes(x.to_bytes(8, "little"), "big")
-    return x >> (64 - 2 * k)
-
-
-def canonicalize(code: int, k: int) -> int:
-    """The smaller of a code and its reverse complement code."""
-    return min(code, reverse_complement(code, k))
-
-
 def reverse_complement_batch(codes: np.ndarray, k: int) -> np.ndarray:
+    """Codes of the reverse complement sequences."""
     x = codes ^ U64((1 << (2 * k)) - 1)
     x = ((x >> U64(2)) & _M2) | ((x & _M2) << U64(2))
     x = ((x >> U64(4)) & _M4) | ((x & _M4) << U64(4))
@@ -77,6 +45,7 @@ def reverse_complement_batch(codes: np.ndarray, k: int) -> np.ndarray:
 
 
 def canonicalize_batch(codes: np.ndarray, k: int) -> np.ndarray:
+    """The smaller of each code and its reverse complement code."""
     return np.minimum(codes, reverse_complement_batch(codes, k))
 
 
@@ -149,13 +118,6 @@ def encode_reads(seqs: list[str], k: int) -> tuple[np.ndarray, np.ndarray, np.nd
     positions = gvalid - starts[owner]
     read_ptr = np.searchsorted(gvalid, starts).astype(np.int64)
     return canon, positions, read_ptr
-
-
-def enumerate_kmers(read: ReadRecord, k: int) -> Iterator[tuple[int, int]]:
-    """Yield (position, canonical code) for every ACGT-only window of a read."""
-    canon, positions, _ = encode_reads([read.sequence], k)
-    for pos, code in zip(positions.tolist(), canon.tolist()):
-        yield pos, code
 
 
 @dataclass(frozen=True)
@@ -231,13 +193,12 @@ def count_solid_kmers(
     t: int,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
     tmp_dir: str | None = None,
-    chunk_reads: int = 16_384,
 ) -> SolidKmerSet:
     """Exact canonical k-mer counting over a read set, keeping counts >= t.
 
     Codes are buffered in memory and spilled to range-partitioned temp files
     when the buffer would exceed memory_budget bytes. Reads are encoded
-    chunk_reads at a time; the encoder's temporaries grow with that number.
+    COUNT_CHUNK_READS at a time; the encoder's temporaries grow with that number.
     """
     _check_k(k)
     if t < 1:
@@ -269,7 +230,8 @@ def count_solid_kmers(
             flush_to_spill()
 
     # map() holds no batch of records while its sequences are encoded
-    for seqs in map(lambda batch: [r.sequence for r in batch], read_batches(reads, chunk_reads)):
+    batches = read_batches(reads, COUNT_CHUNK_READS)
+    for seqs in map(lambda batch: [r.sequence for r in batch], batches):
         consume(seqs)
 
     solid_codes: list[np.ndarray] = []

@@ -18,10 +18,11 @@ import numpy as np
 
 from .kmers import encode_reads
 from .quasidict import QuasiDictionary
-from .seqio import BankDigest, ReadRecord, open_reads, ordered_map, read_batches
+from .seqio import BankDigest, ReadRecord, ReadStream, ordered_map, read_batches
 
 DEFAULT_MIN_SHARED = 2
-DEFAULT_BATCH_READS = 1024
+DEFAULT_BATCH_READS = 1024  # query reads per worker batch of run_src_linker
+BANK_BATCH_READS = 4096  # bank reads encoded per pass of an id-table build
 _SLOT_DTYPE = np.uint32  # 4-byte little-endian disk slots; caps bank at 2^32 - 2 reads
 
 
@@ -37,7 +38,7 @@ class MatchRecord:
         return f"{self.query_read_id}: {pairs}"
 
 
-def _bank_pairs(qd: QuasiDictionary, bank, batch_reads: int):
+def _bank_pairs(qd: QuasiDictionary, bank):
     """Yield, per batch, (slot, read_id) arrays of its distinct pairs.
 
     Pairs come ordered by slot, then by read id; read ids are _SLOT_DTYPE.
@@ -47,7 +48,7 @@ def _bank_pairs(qd: QuasiDictionary, bank, batch_reads: int):
     ones qd was built from.
     """
     digest = BankDigest()
-    for batch in read_batches(bank, batch_reads):
+    for batch in read_batches(bank, BANK_BATCH_READS):
         seqs = [r.sequence for r in batch]
         digest.update(seqs)
         canon, _, ptr = encode_reads(seqs, qd.k)
@@ -71,10 +72,10 @@ class ReadIdTable:
         self.ids = ids  # _SLOT_DTYPE
 
     @classmethod
-    def build(cls, qd: QuasiDictionary, bank, batch_reads: int = 4096) -> "ReadIdTable":
+    def build(cls, qd: QuasiDictionary, bank) -> "ReadIdTable":
         slots = [np.empty(0, dtype=np.int64)]
         rids = [np.empty(0, dtype=_SLOT_DTYPE)]
-        for s, r in _bank_pairs(qd, bank, batch_reads):
+        for s, r in _bank_pairs(qd, bank):
             slots.append(s)
             rids.append(r)
         slot = np.concatenate(slots)
@@ -115,13 +116,11 @@ class DiskIdTable:
         os.unlink(self.path)
 
 
-def _build_disk_table(
-    qd: QuasiDictionary, bank, tmp_dir: str | None = None, batch_reads: int = 4096
-) -> DiskIdTable:
+def _build_disk_table(qd: QuasiDictionary, bank, tmp_dir: str | None = None) -> DiskIdTable:
     n = qd.n_keys
     # pass 1: distinct reads per slot, bank-side false positives included
     occ = np.zeros(n, dtype=np.int64)
-    for slot, _ in _bank_pairs(qd, bank, batch_reads):
+    for slot, _ in _bank_pairs(qd, bank):
         np.add.at(occ, slot, 1)
 
     # pass 2: allocate zero-filled blocks of occ+1 slots each
@@ -139,7 +138,7 @@ def _build_disk_table(
     try:
         mm = np.memmap(tmp_path, dtype=_SLOT_DTYPE, mode="r+", shape=(total_slots,))
         cursor = np.zeros(n, dtype=np.int64)
-        for slot, rid in _bank_pairs(qd, bank, batch_reads):
+        for slot, rid in _bank_pairs(qd, bank):
             # slot is sorted: its rank among this batch's pairs of the same slot
             rank = np.arange(len(slot)) - np.searchsorted(slot, slot)
             mm[offsets[slot] + cursor[slot] + rank] = rid + 1
@@ -153,17 +152,18 @@ def _build_disk_table(
 
 
 def _similarity(
-    qd: QuasiDictionary,
+    k: int,
     table: ReadIdTable | DiskIdTable,
-    read: ReadRecord,
+    read_id: int,
+    positions: list[int],
+    slots: list[int],
     min_shared: int,
     exclude_self: bool,
 ) -> MatchRecord:
-    canon, positions, _ = encode_reads([read.sequence], qd.k)
-    idx = qd.query_batch(canon)
-    k = qd.k
+    """Greedy non-overlapping shared k-mer counts of one read, from the
+    positions of its k-mers and their dictionary slots (-1: not indexed)."""
     targets: dict[int, list[int]] = {}
-    for i, slot in zip(positions.tolist(), idx.tolist()):
+    for i, slot in zip(positions, slots):
         if slot < 0:
             continue
         for tid in table.get(slot).tolist():
@@ -176,9 +176,28 @@ def _similarity(
     matches = sorted(
         (tid, state[1])
         for tid, state in targets.items()
-        if state[1] >= min_shared and not (exclude_self and tid == read.id)
+        if state[1] >= min_shared and not (exclude_self and tid == read_id)
     )
-    return MatchRecord(read.id, matches)
+    return MatchRecord(read_id, matches)
+
+
+def link_batch(
+    qd: QuasiDictionary,
+    table: ReadIdTable | DiskIdTable,
+    batch: list[ReadRecord],
+    min_shared: int,
+    exclude_self: bool,
+) -> list[MatchRecord]:
+    """One MatchRecord per read of a batch, its k-mers encoded and looked up at once."""
+    canon, positions, ptr = encode_reads([r.sequence for r in batch], qd.k)
+    positions, slots, ptr = positions.tolist(), qd.query_batch(canon).tolist(), ptr.tolist()
+    return [
+        _similarity(
+            qd.k, table, read.id, positions[ptr[r] : ptr[r + 1]], slots[ptr[r] : ptr[r + 1]],
+            min_shared, exclude_self,
+        )
+        for r, read in enumerate(batch)
+    ]
 
 
 def run_src_linker(
@@ -206,7 +225,7 @@ def run_src_linker(
         table = ReadIdTable.build(qd, bank_path)
     try:
         work = lambda batch: [
-            _similarity(qd, table, read, min_shared, no_self).format() + "\n" for read in batch
+            rec.format() + "\n" for rec in link_batch(qd, table, batch, min_shared, no_self)
         ]
         with open(out_path, "w") as out:
             out.write(
@@ -221,5 +240,5 @@ def run_src_linker(
             table.close()
     if sidecar_path:
         with open(sidecar_path, "w") as sidecar:
-            for rec in open_reads(query_path):
+            for rec in ReadStream(query_path):
                 sidecar.write(f"{rec.id}\t{rec.header}\n")

@@ -3,7 +3,7 @@
 Construction cascades bit levels: at each level every remaining key hashes to
 a slot; slots hit exactly once are marked occupied and their key is settled,
 slots hit more than once are marked collided and their keys move down a level.
-Survivors after max_levels land in a small exact fallback map.
+Survivors after MAX_LEVELS levels land in a small exact fallback map.
 
 A query walks the levels: occupied slot -> rank gives the index, collided
 slot -> try the next level, empty slot -> NOT_FOUND. Keys outside the build
@@ -23,7 +23,7 @@ U64 = np.uint64
 NOT_FOUND = -1
 DEFAULT_GAMMA = 2.0
 DEFAULT_MASTER_SEED = 1337
-DEFAULT_MAX_LEVELS = 32
+MAX_LEVELS = 32  # levels before the remaining keys go to the fallback map
 
 _MIX_C1 = 0xFF51AFD7ED558CCD
 _MIX_C2 = 0xC4CEB9FE1A85EC53
@@ -36,7 +36,7 @@ class MphfError(Exception):
 
 
 def mix64(x: int) -> int:
-    """64-bit avalanche (murmur3 finalizer); the scalar twin of mix64_batch."""
+    """64-bit avalanche (murmur3 finalizer) of one integer, for level seeds."""
     x &= _MASK64
     x ^= x >> 33
     x = (x * _MIX_C1) & _MASK64
@@ -107,7 +107,6 @@ class Mphf:
         keys: np.ndarray,
         gamma: float = DEFAULT_GAMMA,
         master_seed: int = DEFAULT_MASTER_SEED,
-        max_levels: int = DEFAULT_MAX_LEVELS,
     ) -> "Mphf":
         if gamma <= 1.0:
             raise ValueError(f"gamma must be > 1, got {gamma}")
@@ -122,7 +121,7 @@ class Mphf:
         chunk = 1 << 21  # keys processed per pass; bounds peak memory at large N
         level_bits = []
         remaining = keys
-        for lvl in range(max_levels):
+        for lvl in range(MAX_LEVELS):
             if len(remaining) == 0:
                 break
             size = max(math.ceil(gamma * len(remaining)), 1)
@@ -170,26 +169,6 @@ class Mphf:
         for i, key in zip(active_idx.tolist(), active_keys.tolist()):
             res[i] = self.fallback.get(key, NOT_FOUND)
         return res
-
-    def query(self, key: int) -> int:
-        for level in self.levels:
-            pos = mix64(key ^ level.seed) % level.size
-            word = int(level.occupied[pos >> 6])
-            if (word >> (pos & 63)) & 1:
-                return level.index_offset + self._rank_scalar(level, pos)
-            if (int(level.collided[pos >> 6]) >> (pos & 63)) & 1:
-                continue
-            return NOT_FOUND
-        return self.fallback.get(key, NOT_FOUND)
-
-    @staticmethod
-    def _rank_scalar(level: _Level, pos: int) -> int:
-        word_idx = pos >> 6
-        r = int(level.rank_blocks[pos >> 9])
-        for w in range((pos >> 9) * 8, word_idx):
-            r += int(level.occupied[w]).bit_count()
-        r += (int(level.occupied[word_idx]) & ((1 << (pos & 63)) - 1)).bit_count()
-        return r
 
     def size_bits(self) -> int:
         return sum(level.bits() for level in self.levels) + 128 * len(self.fallback)

@@ -11,7 +11,6 @@ false positives are impossible (exact mode).
 
 import hashlib
 import struct
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -27,8 +26,6 @@ NOT_INDEXED = -1
 FILL_CHUNK = 1 << 21  # keys per pass that fills a per-slot table, bounds temporaries
 MAGIC = b"QDIX0003"
 
-_MASK64 = (1 << 64) - 1
-
 # magic, k, t, f, n_keys, gamma, master_seed, n_levels, n_fallback, flags,
 # bank digest, checksum: 112 bytes, so every array section after it is
 # 8-byte aligned. The checksum is the 16-byte blake2b of every other byte.
@@ -42,35 +39,16 @@ class IndexFormatError(Exception):
     pass
 
 
-def _xorshift64(x: int) -> int:
-    x &= _MASK64
-    x ^= (x << 13) & _MASK64
-    x ^= x >> 7
-    x ^= (x << 17) & _MASK64
-    return x
-
-
-def fingerprint(code: int, f: int) -> int:
-    """Low f bits of the xorshift64 (13, 7, 17) mix of a code.
-
-    Quirk: fingerprint(0, f) == 0 since xorshift fixes 0.
-    """
-    if not 1 <= f <= 62:
-        raise ValueError(f"f must be in [1, 62], got {f}")
-    return _xorshift64(code) & ((1 << f) - 1)
-
-
 def fingerprint_batch(codes: np.ndarray, f: int) -> np.ndarray:
+    """Low f bits of the xorshift64 (13, 7, 17) mix of each code.
+
+    Quirk: code 0 maps to 0, since xorshift fixes 0.
+    """
     x = codes.astype(U64, copy=True)
     x ^= x << U64(13)
     x ^= x >> U64(7)
     x ^= x << U64(17)
     return x & U64((1 << f) - 1)
-
-
-@dataclass
-class QueryResult:
-    index: int  # slot in [0, N-1], or NOT_INDEXED
 
 
 class QuasiDictionary:
@@ -123,18 +101,6 @@ class QuasiDictionary:
                 reject = np.flatnonzero(found)[bad]
                 idx[reject] = NOT_INDEXED
         return idx
-
-    def query(self, code: int) -> QueryResult:
-        idx = self.mphf.query(code)
-        if idx < 0:
-            return QueryResult(NOT_INDEXED)
-        if self.exact:
-            expect = code
-        else:
-            expect = fingerprint(code, self.f)
-        if self.fingerprints.get(idx) != expect:
-            return QueryResult(NOT_INDEXED)
-        return QueryResult(idx)
 
     @property
     def payload_bits(self) -> int:

@@ -41,6 +41,8 @@ class ReadStream:
         self.path = str(path)
         self._fh = _open_text(path)
         first = self._fh.read(1)
+        while first in ("\n", "\r"):  # blank lines before the first record
+            first = self._fh.read(1)
         if first == ">":
             self.format = "fasta"
         elif first == "@":
@@ -89,11 +91,10 @@ class ReadStream:
 
     def _iter_fastq(self) -> Iterator[ReadRecord]:
         next_id = 0
-        while True:
-            header = self._readline()
-            if not header:
-                return
+        for header in iter(self._readline, ""):
             header = header.rstrip("\r\n")
+            if not header:
+                continue  # blank lines between records, as FASTA allows
             if not header.startswith("@"):
                 raise SequenceFormatError(
                     f"{self.path}:{self._line_no}: expected '@' record header"
@@ -122,17 +123,13 @@ class ReadStream:
             next_id += 1
 
 
-def open_reads(path: str | Path) -> ReadStream:
-    return ReadStream(path)
-
-
 def read_batches(
     reads: str | Path | Iterable[ReadRecord], batch_size: int
 ) -> Iterator[list[ReadRecord]]:
     """Fixed-size batches of reads from a file or an iterable of records;
     boundaries depend only on batch_size. No reference to a batch is kept
     here once it is yielded, so the consumer alone decides when it is freed."""
-    records = iter(open_reads(reads) if isinstance(reads, (str, Path)) else reads)
+    records = iter(ReadStream(reads) if isinstance(reads, (str, Path)) else reads)
     yield from iter(lambda: list(islice(records, batch_size)), [])
 
 

@@ -7,6 +7,15 @@ k-mers, no bit packing.
 _COMP = {"A": "T", "C": "G", "G": "C", "T": "A"}
 
 
+def code_of(kmer: str) -> int:
+    """Base-4 number of an ACGT string, first base most significant."""
+    return int(kmer.translate(str.maketrans("ACGT", "0123")), 4)
+
+
+def kmer_of(code: int, k: int) -> str:
+    return "".join("ACGT"[(code >> (2 * (k - 1 - p))) & 3] for p in range(k))
+
+
 def revcomp_str(kmer: str) -> str:
     return "".join(_COMP[b] for b in reversed(kmer))
 

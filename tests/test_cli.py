@@ -124,6 +124,31 @@ def test_usage_error_k_too_big(bank, tmp_path, capsys):
     assert "k must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-4", "two"])
+def test_usage_error_min_shared_below_one(bank, tmp_path, capsys, value):
+    path, _ = bank
+    code = main(
+        ["link", "-b", str(path), "-q", str(path), "--min-shared", value,
+         "-o", str(tmp_path / "o")]
+    )
+    assert code == 1
+    assert "--min-shared" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["count", "link"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_usage_error_threads_below_one(bank, tmp_path, capsys, command, value):
+    path, _ = bank
+    code = main(
+        [command, "-b", str(path), "-q", str(path), "--threads", value,
+         "-o", str(tmp_path / "o")]
+    )
+    assert code == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_usage_error_missing_bank(tmp_path, capsys):
     code = main(["count", "-q", "whatever.fa", "-o", str(tmp_path / "o")])
     assert code == 1

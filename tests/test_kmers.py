@@ -3,47 +3,50 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from src_connector import kmers
 from src_connector.kmers import (
-    INVALID,
     SolidKmerSet,
-    canonicalize,
     canonicalize_batch,
     count_solid_kmers,
-    decode_kmer,
-    encode_kmer,
     encode_reads,
-    enumerate_kmers,
-    reverse_complement,
     reverse_complement_batch,
 )
 from src_connector.seqio import ReadRecord
 
 from _datagen import random_reads
-from _oracles import canon_str, count_kmers, kmer_windows, revcomp_str
+from _oracles import canon_str, code_of, count_kmers, kmer_of, kmer_windows, revcomp_str
+
+U64 = np.uint64
+
+
+def _windows(seq, k):
+    """(position, canonical code) of every window encode_reads keeps in one read."""
+    canon, positions, _ = encode_reads([seq], k)
+    return list(zip(positions.tolist(), canon.tolist()))
 
 
 def test_encode_examples():
-    assert encode_kmer("AC") == 0b0001
-    assert encode_kmer("TT") == 0b1111
-    assert encode_kmer("AN") == INVALID
-    assert encode_kmer("ac") == 0b0001  # lowercase accepted
+    canon, _, ptr = encode_reads(["AC", "CA", "TT", "AN", "ac"], 2)
+    # CA's reverse complement TG is larger; TT's is AA; lowercase is accepted
+    assert canon.tolist() == [0b0001, 0b0100, 0b0000, 0b0001]
+    assert ptr.tolist() == [0, 1, 2, 3, 3, 4]  # no window in AN
 
 
 def test_decode_roundtrip():
-    assert decode_kmer(encode_kmer("GATTACA"), 7) == "GATTACA"
+    assert code_of("GATTACA") == 0b10_00_11_11_00_01_00
+    assert kmer_of(int(encode_reads(["GATTACA"], 7)[0][0]), 7) == "GATTACA"  # < TGTAATC
 
 
 def test_reverse_complement_examples():
     k = 4
-    assert reverse_complement(encode_kmer("ACGT"), k) == encode_kmer("ACGT")
-    assert reverse_complement(encode_kmer("AAAA"), k) == encode_kmer("TTTT")
-    assert reverse_complement(encode_kmer("AACG"), k) == encode_kmer("CGTT")
+    codes = np.array([code_of(s) for s in ("ACGT", "AAAA", "AACG")], dtype=U64)
+    rc = reverse_complement_batch(codes, k)
+    assert rc.tolist() == [code_of(s) for s in ("ACGT", "TTTT", "CGTT")]
 
 
 def test_canonicalize_examples():
-    assert canonicalize(encode_kmer("TTTT"), 4) == encode_kmer("AAAA")
-    assert canonicalize(encode_kmer("ACGT"), 4) == encode_kmer("ACGT")
-    assert canonicalize(encode_kmer("AACG"), 4) == encode_kmer("AACG")
+    codes = np.array([code_of(s) for s in ("TTTT", "ACGT", "AACG")], dtype=U64)
+    assert canonicalize_batch(codes, 4).tolist() == [code_of(s) for s in ("AAAA", "ACGT", "AACG")]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
@@ -55,24 +58,27 @@ def test_revcomp_involution_exhaustive(k):
     assert (canonicalize_batch(canon, k) == canon).all()  # idempotent
     # batch matches the string oracle
     for code in codes[: min(len(codes), 256)].tolist():
-        assert decode_kmer(int(rc[code]), k) == revcomp_str(decode_kmer(code, k))
+        assert kmer_of(int(rc[code]), k) == revcomp_str(kmer_of(code, k))
 
 
 @given(st.integers(min_value=7, max_value=31), st.data())
 @settings(max_examples=50, deadline=None)
 def test_revcomp_involution_random(k, data):
     code = data.draw(st.integers(min_value=0, max_value=4**k - 1))
-    assert reverse_complement(reverse_complement(code, k), k) == code
-    assert canonicalize(canonicalize(code, k), k) == canonicalize(code, k)
-    assert decode_kmer(reverse_complement(code, k), k) == revcomp_str(decode_kmer(code, k))
+    codes = np.array([code], dtype=U64)
+    rc = reverse_complement_batch(codes, k)
+    assert reverse_complement_batch(rc, k).tolist() == [code]
+    canon = canonicalize_batch(codes, k)
+    assert (canonicalize_batch(canon, k) == canon).all()
+    assert kmer_of(int(rc[0]), k) == revcomp_str(kmer_of(code, k))
 
 
 def test_enumerate_examples():
-    aaa = encode_kmer("AAA")
-    assert list(enumerate_kmers(ReadRecord(0, "AAAAA"), 3)) == [(0, aaa), (1, aaa), (2, aaa)]
-    aa = encode_kmer("AA")
-    assert list(enumerate_kmers(ReadRecord(0, "AANAA"), 2)) == [(0, aa), (3, aa)]
-    assert list(enumerate_kmers(ReadRecord(0, "AC"), 3)) == []
+    aaa = code_of("AAA")
+    assert _windows("AAAAA", 3) == [(0, aaa), (1, aaa), (2, aaa)]
+    aa = code_of("AA")
+    assert _windows("AANAA", 2) == [(0, aa), (3, aa)]
+    assert _windows("AC", 3) == []
 
 
 def test_enumerate_matches_string_oracle():
@@ -81,15 +87,12 @@ def test_enumerate_matches_string_oracle():
         # poke some invalid characters in
         seq = seq[:10] + "N" + seq[11:40] + "x" + seq[41:]
         for k in (2, 5, 31):
-            got = [
-                (pos, decode_kmer(code, k))
-                for pos, code in enumerate_kmers(ReadRecord(0, seq), k)
-            ]
+            got = [(pos, kmer_of(code, k)) for pos, code in _windows(seq, k)]
             assert got == kmer_windows(seq, k)
 
 
 def _solid_as_dict(solid: SolidKmerSet) -> dict[str, int]:
-    return {decode_kmer(c, solid.k): int(n) for c, n in zip(solid.codes.tolist(), solid.counts.tolist())}
+    return {kmer_of(c, solid.k): int(n) for c, n in zip(solid.codes.tolist(), solid.counts.tolist())}
 
 
 def test_count_solid_worked_example():
@@ -133,14 +136,13 @@ def test_count_matches_naive_oracle():
         assert (np.diff(solid.codes.astype(np.int64)) > 0).all() if solid.n > 1 else True
 
 
-def test_spill_path_matches_in_memory(tmp_path):
+def test_spill_path_matches_in_memory(tmp_path, monkeypatch):
     rng = np.random.default_rng(8)
     seqs = random_reads(rng, 300, 100) * 2
     reads = [ReadRecord(i, s) for i, s in enumerate(seqs)]
     in_mem = count_solid_kmers(reads, 15, 2)
-    spilled = count_solid_kmers(
-        reads, 15, 2, memory_budget=4096, tmp_dir=str(tmp_path), chunk_reads=50
-    )
+    monkeypatch.setattr(kmers, "COUNT_CHUNK_READS", 50)
+    spilled = count_solid_kmers(reads, 15, 2, memory_budget=4096, tmp_dir=str(tmp_path))
     assert (in_mem.codes == spilled.codes).all()
     assert (in_mem.counts == spilled.counts).all()
     assert in_mem.n_distinct_total == spilled.n_distinct_total
@@ -158,4 +160,4 @@ def test_encode_reads_boundaries():
     # read 0: 3 windows, read 1: too short, read 2: one window
     assert ptr.tolist() == [0, 3, 3, 4]
     assert pos.tolist() == [0, 1, 2, 0]
-    assert decode_kmer(int(canon[3]), 3) == canon_str("GGG")
+    assert kmer_of(int(canon[3]), 3) == canon_str("GGG")

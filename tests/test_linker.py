@@ -4,11 +4,12 @@ import threading
 import numpy as np
 import pytest
 
+from src_connector import linker
 from src_connector.kmers import encode_reads
 from src_connector.linker import (
     ReadIdTable,
     _build_disk_table,
-    _similarity,
+    link_batch,
     run_src_linker,
 )
 from src_connector.quasidict import build_bank_index
@@ -42,7 +43,7 @@ def test_single_read_hand_trace():
     assert qd.n_keys == 1  # only AAA
     slot = qd.query_batch(np.array([0], dtype=np.uint64))[0]
     assert ids.get(slot).tolist() == [0]  # 4 occurrences dedup to one id
-    rec = _similarity(qd, ids, ReadRecord(0, "AAAAAA"), 1, False)
+    rec = link_batch(qd, ids, [ReadRecord(0, "AAAAAA")], 1, False)[0]
     # positions 0 and 3 count; 1, 2 blocked by the k-wide exclusion window
     assert rec.matches == [(0, 2)]
 
@@ -51,7 +52,7 @@ def test_disjoint_alphabet_reads():
     bank = _records(["AAAAAA", "CCCCCC"])
     qd, ids = _ram_index(bank, k=3, t=1, f=6)
     for code_str, want in (("AAAAAA", 0), ("CCCCCC", 1)):
-        rec = _similarity(qd, ids, ReadRecord(9, code_str), 1, False)
+        rec = link_batch(qd, ids, [ReadRecord(9, code_str)], 1, False)[0]
         assert rec.matches == [(want, 2)]
     for slot in range(qd.n_keys):
         assert len(ids.get(slot)) == 1
@@ -60,20 +61,20 @@ def test_disjoint_alphabet_reads():
 def test_solidity_filter_drops_unique_kmers():
     bank = _records(["ACGTACGTACGT", "ACGTACGTACGT", "AACCGGTTACGA"])
     qd, ids = _ram_index(bank, k=9, t=2, f=18)
-    rec = _similarity(qd, ids, ReadRecord(2, "AACCGGTTACGA"), 1, False)
+    rec = link_batch(qd, ids, [ReadRecord(2, "AACCGGTTACGA")], 1, False)[0]
     assert rec.matches == []
 
 
 def test_query_with_no_indexed_kmer():
     qd, ids = _ram_index(_records(["AAAAAAAA"]), k=3, t=1, f=6)
-    rec = _similarity(qd, ids, ReadRecord(0, "CCCCCCCC"), 1, False)
+    rec = link_batch(qd, ids, [ReadRecord(0, "CCCCCCCC")], 1, False)[0]
     assert rec.matches == []
     assert rec.format() == "0:*"
 
 
 def test_query_shorter_than_k():
     qd, ids = _ram_index(_records(["AAAAAAAA"]), k=5, t=1, f=10)
-    assert _similarity(qd, ids, ReadRecord(0, "AAA"), 1, False).matches == []
+    assert link_batch(qd, ids, [ReadRecord(0, "AAA")], 1, False)[0].matches == []
 
 
 def test_similarity_cap():
@@ -83,20 +84,20 @@ def test_similarity_cap():
     qd, ids = _ram_index(_records(seqs), k=k, t=1, f=62)
     cap = (100 - k) // k + 1
     for i, seq in enumerate(seqs):
-        rec = _similarity(qd, ids, ReadRecord(i, seq), 1, False)
+        rec = link_batch(qd, ids, [ReadRecord(i, seq)], 1, False)[0]
         assert all(cnt <= cap for _, cnt in rec.matches)
         assert (i, cap) in rec.matches  # self-match at the cap
 
 
 def test_huge_threshold_matches_nothing():
     qd, ids = _ram_index(_records(["AAAAAAAA"]), k=3, t=1, f=6)
-    rec = _similarity(qd, ids, ReadRecord(0, "AAAAAAAA"), 10**9, False)
+    rec = link_batch(qd, ids, [ReadRecord(0, "AAAAAAAA")], 10**9, False)[0]
     assert rec.matches == []
 
 
 def test_exclude_self():
     qd, ids = _ram_index(_records(["AAAAAAAA"]), k=3, t=1, f=6)
-    rec = _similarity(qd, ids, ReadRecord(0, "AAAAAAAA"), 1, True)
+    rec = link_batch(qd, ids, [ReadRecord(0, "AAAAAAAA")], 1, True)[0]
     assert rec.matches == []
 
 
@@ -107,7 +108,7 @@ def test_exact_mode_matches_oracle():
     qd, ids = _ram_index(_records(seqs), k=k, t=1, f=62)
     expect = linker_records(seqs, seqs, k, t=1, min_shared=1)
     for i, seq in enumerate(seqs):
-        rec = _similarity(qd, ids, ReadRecord(i, seq), 1, False)
+        rec = link_batch(qd, ids, [ReadRecord(i, seq)], 1, False)[0]
         assert rec.matches == expect[i]
 
 
@@ -119,10 +120,24 @@ def test_fp_only_adds_matches():
     fuzzy_qd, fuzzy_ids = _ram_index(_records(seqs), k=k, t=1, f=4)
     for i, seq in enumerate(seqs):
         read = ReadRecord(i, seq)
-        exact = dict(_similarity(exact_qd, exact_ids, read, 1, False).matches)
-        fuzzy = dict(_similarity(fuzzy_qd, fuzzy_ids, read, 1, False).matches)
+        exact = dict(link_batch(exact_qd, exact_ids, [read], 1, False)[0].matches)
+        fuzzy = dict(link_batch(fuzzy_qd, fuzzy_ids, [read], 1, False)[0].matches)
         for tid, cnt in exact.items():
             assert fuzzy.get(tid, 0) >= cnt
+
+
+def test_link_batch_matches_oracle():
+    # one batch holds every read: empty, shorter than k and N-broken ones included
+    rng = np.random.default_rng(9)
+    seqs = planted_family_reads(rng, n_families=6, family_size=3, n_background=40)
+    qd, ids = _ram_index(_records(seqs), k=31, t=1, f=62)
+    queries = seqs[:20] + ["", "ACGT", seqs[3][:40] + "N" + seqs[3][41:]] + seqs[20:30]
+    batch = [ReadRecord(i + 100, s) for i, s in enumerate(queries)]
+    got = link_batch(qd, ids, batch, 1, False)
+    assert [rec.query_read_id for rec in got] == [read.id for read in batch]
+    expect = linker_records(seqs, queries, 31, t=1, min_shared=1)
+    assert [rec.matches for rec in got] == [expect[i] for i in range(len(queries))]
+    assert got[22].matches and all(rec.matches for rec in got[:20])
 
 
 def test_disk_block_hand_trace(tmp_path):
@@ -155,8 +170,8 @@ def test_disk_matches_ram():
     try:
         for i, seq in enumerate(seqs):
             read = ReadRecord(i, seq)
-            ram = _similarity(qd, ids, read, 1, False)
-            dsk = _similarity(qd2, disk, read, 1, False)
+            ram = link_batch(qd, ids, [read], 1, False)[0]
+            dsk = link_batch(qd2, disk, [read], 1, False)[0]
             assert ram.matches == dsk.matches
     finally:
         disk.close()
@@ -240,13 +255,14 @@ def test_avg_ids_per_entry():
 
 
 @pytest.mark.parametrize("batch_reads", [3, 4096])
-def test_ids_across_batches(tmp_path, batch_reads):
+def test_ids_across_batches(tmp_path, monkeypatch, batch_reads):
     # a family's reads fall into different batches at batch_reads=3
     rng = np.random.default_rng(8)
     bank = _records(planted_family_reads(rng, n_families=20, family_size=4, n_background=120))
     qd = build_bank_index(bank, 31, 1, 12)[0]
-    ram = ReadIdTable.build(qd, bank, batch_reads)
-    disk = _build_disk_table(qd, bank, str(tmp_path), batch_reads)
+    monkeypatch.setattr(linker, "BANK_BATCH_READS", batch_reads)
+    ram = ReadIdTable.build(qd, bank)
+    disk = _build_disk_table(qd, bank, str(tmp_path))
     expect = [set() for _ in range(qd.n_keys)]
     for read in bank:
         for slot in qd.query_batch(encode_reads([read.sequence], 31)[0]).tolist():

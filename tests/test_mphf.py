@@ -31,13 +31,12 @@ def _disjoint(n_keys, n_aliens, seed=0):
 
 def test_singleton():
     m = Mphf.build(np.array([42], dtype=np.uint64))
-    assert m.query(42) == 0
+    assert m.query_batch(np.array([42], dtype=np.uint64)).tolist() == [0]
 
 
 def test_empty():
     m = Mphf.build(np.empty(0, dtype=np.uint64))
     assert m.n_keys == 0
-    assert m.query(123) == NOT_FOUND
     assert m.query_batch(np.array([1, 2, 3], dtype=np.uint64)).tolist() == [-1, -1, -1]
 
 
@@ -46,15 +45,6 @@ def test_bijection_10k():
     m = Mphf.build(keys)
     res = m.query_batch(keys)
     assert sorted(res.tolist()) == list(range(10_000))
-
-
-def test_scalar_matches_batch():
-    keys, aliens = _disjoint(5000, 500, seed=2)
-    m = Mphf.build(keys)
-    probe = np.concatenate([keys[:200], aliens[:200]])
-    batch = m.query_batch(probe)
-    for key, want in zip(probe.tolist(), batch.tolist()):
-        assert m.query(key) == want
 
 
 def test_duplicate_keys_rejected():

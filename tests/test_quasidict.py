@@ -3,17 +3,19 @@ import struct
 import numpy as np
 import pytest
 
+from src_connector import mphf as mphf_module
 from src_connector.bitpack import PackedArray
-from src_connector.kmers import SolidKmerSet, canonicalize_batch, encode_kmer
+from src_connector.kmers import SolidKmerSet, canonicalize_batch
 from src_connector.mphf import Mphf
 from src_connector.quasidict import (
     NOT_INDEXED,
     IndexFormatError,
     QuasiDictionary,
-    fingerprint,
     fingerprint_batch,
     load_index,
 )
+
+from _oracles import code_of
 
 
 def _solid_from_codes(codes, k, t=1):
@@ -32,48 +34,34 @@ def _random_solid(n, k=31, seed=0):
     return _solid_from_codes(codes[:n], k)
 
 
+def _fingerprint(code, f):
+    return int(fingerprint_batch(np.array([code], dtype=np.uint64), f)[0])
+
+
 def test_fingerprint_of_zero_is_zero():
-    assert fingerprint(0, 12) == 0
+    assert _fingerprint(0, 12) == 0
 
 
 def test_fingerprint_of_one_hand_derived():
     # x=1: after x^=x<<13 -> 0x2001; x^=x>>7 -> 0x2041; x^=x<<17 -> 0x40822041
-    assert fingerprint(1, 62) == 0x40822041
+    assert _fingerprint(1, 62) == 0x40822041
 
 
 def test_fingerprint_truncation_consistency():
-    for code in (3, 12345, (1 << 62) - 1):
-        assert fingerprint(code, 8) == fingerprint(code, 12) & 0xFF
-
-
-def test_fingerprint_batch_matches_scalar():
-    rng = np.random.default_rng(1)
-    codes = rng.integers(0, 1 << 62, 1000, dtype=np.uint64)
-    for f in (1, 8, 12, 62):
-        batch = fingerprint_batch(codes, f)
-        for code, val in zip(codes[:50].tolist(), batch[:50].tolist()):
-            assert fingerprint(code, f) == val
-
-
-def test_fingerprint_width_validation():
-    with pytest.raises(ValueError):
-        fingerprint(1, 0)
-    with pytest.raises(ValueError):
-        fingerprint(1, 63)
+    codes = np.array([3, 12345, (1 << 62) - 1], dtype=np.uint64)
+    assert (fingerprint_batch(codes, 8) == fingerprint_batch(codes, 12) & np.uint64(0xFF)).all()
 
 
 def test_create_small():
     k = 4
-    codes = [encode_kmer(s) for s in ("AAAA", "AAAC", "AACA")]
+    codes = np.array([code_of(s) for s in ("AAAA", "AAAC", "AACA")], dtype=np.uint64)
     qd = QuasiDictionary.create(_solid_from_codes(codes, k), 8)
-    idx = [qd.query(c).index for c in codes]
-    assert sorted(idx) == [0, 1, 2]
+    assert sorted(qd.query_batch(codes).tolist()) == [0, 1, 2]
 
 
 def test_create_empty():
     qd = QuasiDictionary.create(_solid_from_codes([], 31), 12)
     assert qd.n_keys == 0
-    assert qd.query(0).index == NOT_INDEXED
     assert (qd.query_batch(np.arange(100, dtype=np.uint64)) == NOT_INDEXED).all()
 
 
@@ -92,16 +80,6 @@ def test_no_false_negatives_and_index_uniqueness():
     assert sorted(idx.tolist()) == list(range(solid.n))
     # stable across repeated queries
     assert (qd.query_batch(solid.codes) == idx).all()
-
-
-def test_scalar_query_matches_batch():
-    solid = _random_solid(2000, seed=3)
-    qd = QuasiDictionary.create(solid, 12)
-    aliens = _random_solid(2000, seed=4).codes
-    probe = np.concatenate([solid.codes[:300], aliens[:300]])
-    batch = qd.query_batch(probe)
-    for code, want in zip(probe.tolist(), batch.tolist()):
-        assert qd.query(code).index == want
 
 
 def test_fp_rate_monotone_in_f():
@@ -158,10 +136,11 @@ def test_save_load_roundtrip(tmp_path):
     assert path.read_bytes() == rebuilt.read_bytes() == resaved.read_bytes()
 
 
-def test_save_load_fallback_keys(tmp_path):
+def test_save_load_fallback_keys(tmp_path, monkeypatch):
     # QuasiDictionary.create leaves keys to the fallback map only for far larger sets
     solid = _random_solid(3000, seed=11)
-    mphf = Mphf.build(solid.codes, max_levels=2)
+    monkeypatch.setattr(mphf_module, "MAX_LEVELS", 2)
+    mphf = Mphf.build(solid.codes)
     assert len(mphf.fallback) > 0
     qd = QuasiDictionary(solid.k, solid.t, 12, mphf, PackedArray(solid.n, 12), solid.bank_digest)
     qd.fingerprints.set_many(mphf.query_batch(solid.codes), fingerprint_batch(solid.codes, 12))

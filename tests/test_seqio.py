@@ -7,8 +7,8 @@ import pytest
 from src_connector.seqio import (
     BankDigest,
     ReadRecord,
+    ReadStream,
     SequenceFormatError,
-    open_reads,
     read_batches,
 )
 
@@ -19,7 +19,7 @@ FASTQ = "@r0 first\nACGTACGT\n+\nIIIIIIII\n@r1\nTTTT\n+r1\nIIII\n"
 def test_multiline_fasta(tmp_path):
     path = tmp_path / "reads.fa"
     path.write_text(FASTA)
-    records = list(open_reads(path))
+    records = list(ReadStream(path))
     assert records == [
         ReadRecord(0, "ACGTACGT", "r0 first"),
         ReadRecord(1, "TTTT", "r1"),
@@ -29,7 +29,7 @@ def test_multiline_fasta(tmp_path):
 def test_fastq(tmp_path):
     path = tmp_path / "reads.fq"
     path.write_text(FASTQ)
-    records = list(open_reads(path))
+    records = list(ReadStream(path))
     assert [r.sequence for r in records] == ["ACGTACGT", "TTTT"]
     assert [r.id for r in records] == [0, 1]
 
@@ -40,14 +40,14 @@ def test_gzip_matches_plain(tmp_path):
     gz = tmp_path / "reads.fq.gz"
     with gzip.open(gz, "wt") as fh:
         fh.write(FASTQ)
-    assert list(open_reads(gz)) == list(open_reads(plain))
+    assert list(ReadStream(gz)) == list(ReadStream(plain))
 
 
 def test_gzip_fasta(tmp_path):
     gz = tmp_path / "reads.fa.gz"
     with gzip.open(gz, "wt") as fh:
         fh.write(FASTA)
-    assert [r.sequence for r in open_reads(gz)] == ["ACGTACGT", "TTTT"]
+    assert [r.sequence for r in ReadStream(gz)] == ["ACGTACGT", "TTTT"]
 
 
 def test_gzip_closes_its_file(tmp_path):
@@ -56,7 +56,7 @@ def test_gzip_closes_its_file(tmp_path):
         fh.write(FASTA)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert len(list(open_reads(gz))) == 2
+        assert len(list(ReadStream(gz))) == 2
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
@@ -79,27 +79,27 @@ def test_unrecognized_format(tmp_path):
     path = tmp_path / "reads.txt"
     path.write_text("ACGT\nACGT\n")
     with pytest.raises(SequenceFormatError):
-        open_reads(path)
+        ReadStream(path)
 
 
 def test_empty_file(tmp_path):
     path = tmp_path / "empty.fa"
     path.write_text("")
-    assert list(open_reads(path)) == []
+    assert list(ReadStream(path)) == []
 
 
 def test_fastq_at_sign_in_quality(tmp_path):
     # quality line starts with '@'; length matching must not treat it as a header
     path = tmp_path / "reads.fq"
     path.write_text("@r0\nACGT\n+\n@III\n@r1\nTT\n+\nII\n")
-    records = list(open_reads(path))
+    records = list(ReadStream(path))
     assert [r.sequence for r in records] == ["ACGT", "TT"]
 
 
 def test_fastq_multiline_quality(tmp_path):
     path = tmp_path / "reads.fq"
     path.write_text("@r0\nACGTACGT\n+\nIIII\nIIII\n@r1\nTT\n+\nII\n")
-    assert [r.sequence for r in open_reads(path)] == ["ACGTACGT", "TT"]
+    assert [r.sequence for r in ReadStream(path)] == ["ACGTACGT", "TT"]
 
 
 def test_crlf_equals_lf(tmp_path):
@@ -107,28 +107,64 @@ def test_crlf_equals_lf(tmp_path):
     lf.write_text(FASTA)
     crlf = tmp_path / "crlf.fa"
     crlf.write_text(FASTA.replace("\n", "\r\n"))
-    assert list(open_reads(crlf)) == list(open_reads(lf))
+    assert list(ReadStream(crlf)) == list(ReadStream(lf))
 
 
 def test_truncated_fastq(tmp_path):
     path = tmp_path / "reads.fq"
     path.write_text("@r0\nACGT\n+\nII\n")
     with pytest.raises(SequenceFormatError):
-        list(open_reads(path))
+        list(ReadStream(path))
 
 
 def test_fastq_missing_plus(tmp_path):
     path = tmp_path / "reads.fq"
     path.write_text("@r0\nACGT\nIIII\n")
     with pytest.raises(SequenceFormatError):
-        list(open_reads(path))
+        list(ReadStream(path))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        FASTQ + "\n",
+        FASTQ.replace("\n@r1", "\n\n@r1"),
+        "\n\n" + FASTQ,
+        FASTQ.replace("\n", "\r\n") + "\r\n\r\n",
+    ],
+    ids=["trailing", "between", "leading", "crlf"],
+)
+def test_fastq_blank_lines(tmp_path, text):
+    path = tmp_path / "reads.fq"
+    path.write_text(text)
+    records = list(ReadStream(path))
+    assert [(r.id, r.sequence, r.header) for r in records] == [
+        (0, "ACGTACGT", "r0 first"),
+        (1, "TTTT", "r1"),
+    ]
+
+
+def test_fasta_leading_blank_line(tmp_path):
+    path = tmp_path / "reads.fa"
+    path.write_text("\r\n\n" + FASTA)
+    assert [r.sequence for r in ReadStream(path)] == ["ACGTACGT", "TTTT"]
+
+
+@pytest.mark.parametrize(
+    "text", ["@r0\nACGT\n+\nII\n\n", "@r0\nACGT\n\nIIII\n", "@r0\nACGT\n+\nIIII\n\nr1\n"]
+)
+def test_fastq_blank_lines_keep_errors(tmp_path, text):
+    path = tmp_path / "reads.fq"
+    path.write_text(text)
+    with pytest.raises(SequenceFormatError):
+        list(ReadStream(path))
 
 
 def test_ids_stable_across_passes(tmp_path):
     path = tmp_path / "reads.fa"
     path.write_text(FASTA)
-    first = [(r.id, r.sequence) for r in open_reads(path)]
-    second = [(r.id, r.sequence) for r in open_reads(path)]
+    first = [(r.id, r.sequence) for r in ReadStream(path)]
+    second = [(r.id, r.sequence) for r in ReadStream(path)]
     assert first == second
 
 
