@@ -32,57 +32,41 @@ def get_bits(words: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return ((w >> (pos & _WORD_MASK)) & _ONE).astype(bool)
 
 
+KEY_CHUNK = 1 << 20  # keys per pass of a build or fill loop; bounds its temporaries
+
 RANK_BLOCK_WORDS = 8  # 512-bit rank blocks
-RANK_BLOCK_BITS = RANK_BLOCK_WORDS * WORD_BITS
+_SUB_BITS = 9  # in-block prefix count field; at most 7 * 64 = 448 set bits
+_SUB_MASK = (1 << _SUB_BITS) - 1
+_SUB_SHIFTS = np.arange(RANK_BLOCK_WORDS - 1, dtype=U64) * U64(_SUB_BITS)
 
 
 def build_rank_blocks(words: np.ndarray) -> np.ndarray:
-    """Exclusive cumulative popcount per 512-bit block of a bitvector."""
+    """Rank9 directory of a bitvector: one (2,) uint64 row per 512-bit block.
+
+    Row b holds the set bits before block b, then the set bits before each of
+    the block's words 1..7 in 9-bit fields (word j's field at bit 9 * (j - 1)).
+    """
     n_blocks = (len(words) + RANK_BLOCK_WORDS - 1) // RANK_BLOCK_WORDS
     padded = np.zeros(n_blocks * RANK_BLOCK_WORDS, dtype=U64)
     padded[: len(words)] = words
-    per_block = popcount(padded).reshape(n_blocks, RANK_BLOCK_WORDS).sum(axis=1, dtype=np.uint64)
-    blocks = np.zeros(n_blocks, dtype=U64)
-    np.cumsum(per_block[:-1], out=blocks[1:])
-    return blocks
+    within = np.cumsum(popcount(padded).reshape(n_blocks, RANK_BLOCK_WORDS), axis=1, dtype=U64)
+    directory = np.zeros((n_blocks, 2), dtype=U64)
+    np.cumsum(within[:-1, -1], out=directory[1:, 0])
+    directory[:, 1] = (within[:, :-1] << _SUB_SHIFTS).sum(axis=1, dtype=U64)
+    return directory
 
 
-_RANK_CHUNK = 1 << 17  # positions per pass; keeps the (n, 8) gathers small
-
-
-def rank1(words: np.ndarray, blocks: np.ndarray, positions: np.ndarray) -> np.ndarray:
+def rank1(words: np.ndarray, directory: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Number of set bits strictly before each position (position bits must exist)."""
-    if len(positions) > _RANK_CHUNK:
-        out = np.empty(len(positions), dtype=np.int64)
-        for lo in range(0, len(positions), _RANK_CHUNK):
-            out[lo : lo + _RANK_CHUNK] = _rank1_dense(
-                words, blocks, positions[lo : lo + _RANK_CHUNK]
-            )
-        return out
-    return _rank1_dense(words, blocks, positions)
-
-
-def _rank1_dense(words: np.ndarray, blocks: np.ndarray, positions: np.ndarray) -> np.ndarray:
     pos = positions.astype(np.int64, copy=False)
-    word_idx = pos >> 6
-    block_idx = pos >> 9
-    out = blocks[block_idx].astype(np.int64)
-
-    # whole words of the block that precede the position's word
-    base = block_idx * RANK_BLOCK_WORDS
-    gather = base[:, None] + np.arange(RANK_BLOCK_WORDS, dtype=np.int64)
-    block_words = np.zeros((len(pos), RANK_BLOCK_WORDS), dtype=U64)
-    in_range = gather < len(words)
-    block_words[in_range] = words[gather[in_range]]
-    counts = popcount(block_words).astype(np.int64)
-    before = np.arange(RANK_BLOCK_WORDS, dtype=np.int64)[None, :] < (word_idx - base)[:, None]
-    out += np.where(before, counts, 0).sum(axis=1)
-
-    # partial word
-    offset = (positions.astype(np.uint64, copy=False)) & _WORD_MASK
-    partial = words[word_idx] & ((_ONE << offset) - _ONE)
-    out += popcount(partial).astype(np.int64)
-    return out
+    word = pos >> 6
+    # np.take gathers rows several times faster than fancy indexing; bit 63 of
+    # a directory word is never set, so the int64 view is exact
+    block = np.take(directory, word >> 3, axis=0).view(np.int64)
+    shift = ((word - 1) & (RANK_BLOCK_WORDS - 1)) * _SUB_BITS  # word 0: 63, past every field
+    sub = (block[:, 1] >> shift) & _SUB_MASK
+    partial = np.take(words, word) & ((_ONE << (pos & 63).astype(U64)) - _ONE)
+    return block[:, 0] + sub + popcount(partial)
 
 
 class PackedArray:
@@ -109,14 +93,8 @@ class PackedArray:
     def payload_bits(self) -> int:
         return self.n * self.width
 
-    _CHUNK = 1 << 20  # indices per pass, bounds temporary allocations
-
     def set_many(self, indices: np.ndarray, values: np.ndarray) -> None:
         """Write values at indices; the touched slots must still be zero."""
-        if len(indices) > self._CHUNK:
-            for lo in range(0, len(indices), self._CHUNK):
-                self.set_many(indices[lo : lo + self._CHUNK], values[lo : lo + self._CHUNK])
-            return
         width = U64(self.width)
         bitpos = indices.astype(np.uint64, copy=False) * width
         word = (bitpos >> U64(6)).astype(np.int64)
@@ -128,11 +106,6 @@ class PackedArray:
         np.bitwise_or.at(self.words, word + 1, hi)
 
     def get_many(self, indices: np.ndarray) -> np.ndarray:
-        if len(indices) > self._CHUNK:
-            out = np.empty(len(indices), dtype=U64)
-            for lo in range(0, len(indices), self._CHUNK):
-                out[lo : lo + self._CHUNK] = self.get_many(indices[lo : lo + self._CHUNK])
-            return out
         width = U64(self.width)
         bitpos = indices.astype(np.uint64, copy=False) * width
         word = (bitpos >> U64(6)).astype(np.int64)

@@ -1,6 +1,7 @@
 """Command line front end: src {index,count,link,bench}."""
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -27,15 +28,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _at_least_one(text: str) -> int:
-    """argparse type of --threads and --min-shared."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _arg_type(convert, ok, expected: str):
+    """argparse type: convert(text), rejected unless ok(value) holds."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _whole(text: str) -> int:
+    value = float(text)  # accepts the 1e5 form
+    return int(value) if value.is_integer() else 0
+
+
+_at_least_one = _arg_type(int, lambda v: v >= 1, "an integer >= 1")
+_gamma = _arg_type(float, lambda v: math.isfinite(v) and v > 1.0, "a finite number > 1")
+_seed = _arg_type(int, lambda v: 0 <= v < 1 << 64, "an integer in [0, 2^64)")
+_sizes = _arg_type(
+    lambda text: [_whole(s) for s in text.split(",") if s],
+    lambda v: v and min(v) >= 1,
+    "comma-separated integers >= 1",
+)
 
 
 def _add_common(sub: argparse.ArgumentParser, default_f: int) -> None:
@@ -52,8 +72,8 @@ def _add_common(sub: argparse.ArgumentParser, default_f: int) -> None:
     sub.add_argument(
         "--exact", action="store_true", help="set f=2k: no false positives"
     )
-    sub.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
-    sub.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
+    sub.add_argument("--gamma", type=_gamma, default=DEFAULT_GAMMA)
+    sub.add_argument("--seed", type=_seed, default=DEFAULT_MASTER_SEED)
     sub.add_argument(
         "--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET,
         help="bytes of buffered k-mer codes before counting spills to disk",
@@ -120,13 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = subs.add_parser("bench", help="quasi-dictionary vs hash map benchmark")
     p_bench.add_argument(
-        "--sizes", default=",".join(str(s) for s in DEFAULT_SIZES),
+        "--sizes", type=_sizes, default=list(DEFAULT_SIZES),
         help="comma-separated key-set sizes",
     )
     p_bench.add_argument("-f", type=int, default=12)
     p_bench.add_argument("-k", type=int, default=MAX_K)
-    p_bench.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
-    p_bench.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
+    p_bench.add_argument("--gamma", type=_gamma, default=DEFAULT_GAMMA)
+    p_bench.add_argument("--seed", type=_seed, default=DEFAULT_MASTER_SEED)
     p_bench.add_argument("-o", "--out", required=True, help="CSV report path")
     return parser
 
@@ -183,9 +203,8 @@ def cmd_link(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(float(s)) for s in args.sizes.split(",") if s]
     rows = run_bench(
-        sizes=sizes, f=args.f, k=args.k, gamma=args.gamma, seed=args.seed,
+        sizes=args.sizes, f=args.f, k=args.k, gamma=args.gamma, seed=args.seed,
         out_path=args.out,
     )
     print("\t".join(CSV_COLUMNS))

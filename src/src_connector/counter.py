@@ -11,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .bitpack import KEY_CHUNK
 from .kmers import encode_reads
-from .quasidict import FILL_CHUNK, QuasiDictionary
+from .quasidict import QuasiDictionary
 from .seqio import ReadRecord, ordered_map, read_batches
 
 COUNT_SATURATION = 255
@@ -39,9 +40,9 @@ class AbundanceRecord:
 
 def build_count_table(qd: QuasiDictionary, solid_codes: np.ndarray, solid_counts: np.ndarray) -> np.ndarray:
     counts = np.zeros(qd.n_keys, dtype=np.uint8)
-    for lo in range(0, len(solid_codes), FILL_CHUNK):
-        idx = qd.query_batch(solid_codes[lo : lo + FILL_CHUNK])
-        counts[idx] = np.minimum(solid_counts[lo : lo + FILL_CHUNK], COUNT_SATURATION)
+    for lo in range(0, len(solid_codes), KEY_CHUNK):
+        idx = qd.query_batch(solid_codes[lo : lo + KEY_CHUNK])
+        counts[idx] = np.minimum(solid_counts[lo : lo + KEY_CHUNK], COUNT_SATURATION)
     return counts
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitpack import bits_from_bool, build_rank_blocks, get_bits, popcount, rank1
+from .bitpack import KEY_CHUNK, bits_from_bool, build_rank_blocks, get_bits, popcount, rank1
 
 U64 = np.uint64
 
@@ -66,11 +66,11 @@ class _Level:
     seed: int
     occupied: np.ndarray  # bitvector: settled slots
     collided: np.ndarray  # bitvector: slots hit by >= 2 keys
-    rank_blocks: np.ndarray  # exclusive cumulative popcount of occupied
+    rank_directory: np.ndarray  # Rank9 directory of occupied
     index_offset: int  # indices assigned by earlier levels
 
     def bits(self) -> int:
-        return 64 * (len(self.occupied) + len(self.collided) + len(self.rank_blocks))
+        return 64 * (len(self.occupied) + len(self.collided) + self.rank_directory.size)
 
 
 class Mphf:
@@ -86,7 +86,7 @@ class Mphf:
         """level_bits holds each level's (size, occupied, collided), fallback_keys
         the keys no level settled, in index order. The rest is derived here for
         built and loaded MPHFs alike: level seeds, index offsets (keys settled
-        by earlier levels), rank blocks and n_keys."""
+        by earlier levels), rank directories and n_keys."""
         self.gamma = gamma
         self.master_seed = master_seed
         self.levels: list[_Level] = []
@@ -108,8 +108,8 @@ class Mphf:
         gamma: float = DEFAULT_GAMMA,
         master_seed: int = DEFAULT_MASTER_SEED,
     ) -> "Mphf":
-        if gamma <= 1.0:
-            raise ValueError(f"gamma must be > 1, got {gamma}")
+        if not (math.isfinite(gamma) and gamma > 1.0):
+            raise ValueError(f"gamma must be a finite number > 1, got {gamma}")
         keys = np.asarray(keys, dtype=U64)
         if len(keys) > 1:
             # callers usually pass ascending codes; avoid the sort copy then
@@ -118,7 +118,6 @@ class Mphf:
                 raise MphfError("duplicate keys in MPHF construction set")
             del srt
 
-        chunk = 1 << 21  # keys processed per pass; bounds peak memory at large N
         level_bits = []
         remaining = keys
         for lvl in range(MAX_LEVELS):
@@ -127,16 +126,16 @@ class Mphf:
             size = max(math.ceil(gamma * len(remaining)), 1)
             seed = level_seed(master_seed, lvl)
             counts = np.zeros(size, dtype=np.uint16)
-            for lo in range(0, len(remaining), chunk):
-                part = remaining[lo : lo + chunk]
+            for lo in range(0, len(remaining), KEY_CHUNK):
+                part = remaining[lo : lo + KEY_CHUNK]
                 pos = (mix64_batch(part ^ U64(seed)) % U64(size)).astype(np.int64)
-                np.add.at(counts, pos, 1)
+                np.add.at(counts, pos, np.uint16(1))  # a Python 1 misses add.at's fast path
 
             level_bits.append((size, bits_from_bool(counts == 1), bits_from_bool(counts > 1)))
 
             survivors = []
-            for lo in range(0, len(remaining), chunk):
-                part = remaining[lo : lo + chunk]
+            for lo in range(0, len(remaining), KEY_CHUNK):
+                part = remaining[lo : lo + KEY_CHUNK]
                 pos = (mix64_batch(part ^ U64(seed)) % U64(size)).astype(np.int64)
                 survivors.append(part[counts[pos] > 1])
             remaining = (
@@ -161,7 +160,7 @@ class Mphf:
             hit = get_bits(level.occupied, pos)
             if hit.any():
                 res[active_idx[hit]] = level.index_offset + rank1(
-                    level.occupied, level.rank_blocks, pos[hit]
+                    level.occupied, level.rank_directory, pos[hit]
                 )
             cont = ~hit & get_bits(level.collided, pos)
             active_idx = active_idx[cont]

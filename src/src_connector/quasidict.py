@@ -10,20 +10,20 @@ false positives are impossible (exact mode).
 """
 
 import hashlib
+import math
 import struct
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .bitpack import WORD_BITS, PackedArray
+from .bitpack import KEY_CHUNK, WORD_BITS, PackedArray
 from .kmers import DEFAULT_MEMORY_BUDGET, MAX_K, SolidKmerSet, count_solid_kmers
 from .mphf import DEFAULT_GAMMA, DEFAULT_MASTER_SEED, Mphf
 
 U64 = np.uint64
 
 NOT_INDEXED = -1
-FILL_CHUNK = 1 << 21  # keys per pass that fills a per-slot table, bounds temporaries
 MAGIC = b"QDIX0003"
 
 # magic, k, t, f, n_keys, gamma, master_seed, n_levels, n_fallback, flags,
@@ -83,8 +83,8 @@ class QuasiDictionary:
             raise ValueError(f"f must be in [1, {min(2 * solid.k, 62)}] for k={solid.k}")
         mphf = Mphf.build(solid.codes, gamma=gamma, master_seed=master_seed)
         qd = cls(solid.k, solid.t, f, mphf, PackedArray(solid.n, f), solid.bank_digest)
-        for lo in range(0, solid.n, FILL_CHUNK):
-            part = solid.codes[lo : lo + FILL_CHUNK]
+        for lo in range(0, solid.n, KEY_CHUNK):
+            part = solid.codes[lo : lo + KEY_CHUNK]
             idx = mphf.query_batch(part)
             qd.fingerprints.set_many(idx, qd._fingerprints_of(part))
         return qd
@@ -178,7 +178,7 @@ def load_index(path: str | Path) -> tuple[QuasiDictionary, np.ndarray | None]:
         (1 <= k <= MAX_K, f"k={k} is outside [1, {MAX_K}]"),
         (1 <= f <= min(2 * k, 62), f"f={f} is outside [1, {min(2 * k, 62)}]"),
         (t >= 1, f"t={t} is below 1"),
-        (gamma > 1.0, f"gamma={gamma} is not above 1"),
+        (math.isfinite(gamma) and gamma > 1.0, f"gamma={gamma} is not a finite number above 1"),
         (not flags & ~_FLAG_COUNTS, f"unknown flag bits {flags:#x}"),
     ):
         if not ok:

@@ -26,7 +26,14 @@ def test_set_get_bits():
     assert np.flatnonzero(got).tolist() == pos.tolist()
 
 
-@pytest.mark.parametrize("n,density", [(1, 1.0), (511, 0.5), (512, 0.5), (5000, 0.1), (5000, 0.9)])
+@pytest.mark.parametrize(
+    "n,density",
+    [
+        (1, 1.0), (511, 0.5), (512, 0.5), (5000, 0.1), (5000, 0.9),
+        (4096, 1.0),  # all ones: every 9-bit in-block field reaches its maximum, 448
+        (300_001, 0.5),  # many blocks, more positions than one 2^17 pass
+    ],
+)
 def test_rank_matches_naive(n, density):
     rng = np.random.default_rng(n)
     flags = rng.random(n) < density

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from src_connector.cli import main
+from src_connector.cli import build_parser, main
 
 from _datagen import planted_family_reads, random_reads, write_fasta
 from _oracles import (
@@ -147,6 +147,37 @@ def test_usage_error_threads_below_one(bank, tmp_path, capsys, command, value):
     assert code == 1
     assert "--threads" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["index", "count", "link", "bench"])
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--gamma", "nan"), ("--gamma", "inf"), ("--gamma", "1"), ("--seed", "-1"),
+     ("--seed", str(1 << 64))],
+)
+def test_usage_error_bad_gamma_or_seed(bank, tmp_path, capsys, command, flag, value):
+    path, _ = bank
+    inputs = {
+        "index": ["-b", str(path), "-t", "1000"],  # no solid k-mer, so no build can catch it
+        "bench": ["--sizes", "1000"],
+    }.get(command, ["-b", str(path), "-q", str(path)])
+    code = main([command, *inputs, flag, value, "-o", str(tmp_path / "o")])
+    assert code == 1
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sizes", ["-5", "0", "abc", "1.5", ","])
+def test_usage_error_bench_sizes(tmp_path, capsys, sizes):
+    code = main(["bench", "--sizes", sizes, "-o", str(tmp_path / "o")])
+    assert code == 1
+    assert "--sizes" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bench_sizes_accept_exponent_form():
+    args = build_parser().parse_args(["bench", "--sizes", "1e3,20", "-o", "o"])
+    assert args.sizes == [1000, 20]
 
 
 def test_usage_error_missing_bank(tmp_path, capsys):

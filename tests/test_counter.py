@@ -55,7 +55,7 @@ def test_count_saturation():
 
 
 def test_count_table_chunks_match_per_key(monkeypatch):
-    monkeypatch.setattr(counter, "FILL_CHUNK", 777)  # 5000 keys: six full chunks and a part
+    monkeypatch.setattr(counter, "KEY_CHUNK", 777)  # 5000 keys: six full chunks and a part
     rng = np.random.default_rng(9)
     codes = np.unique(rng.integers(0, 1 << 62, 5000, dtype=np.uint64))
     solid_counts = rng.integers(1, 600, len(codes)).astype(np.uint64)

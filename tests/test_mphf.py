@@ -87,6 +87,9 @@ def test_build_deterministic():
 def test_gamma_validation():
     with pytest.raises(ValueError):
         Mphf.build(np.array([1], dtype=np.uint64), gamma=1.0)
+    for gamma in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            Mphf.build(np.array([1], dtype=np.uint64), gamma=gamma)
 
 
 def test_serialize_roundtrip(tmp_path):

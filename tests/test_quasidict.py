@@ -239,6 +239,7 @@ def saved_index(tmp_path_factory):
         pytest.param(_put("<Q", _F, 63), "f=63", id="f-63"),
         pytest.param(_put("<Q", _T, 0), "t=0", id="t-0"),
         pytest.param(_put("<d", _GAMMA, 1.0), "gamma=1.0", id="gamma-1"),
+        pytest.param(_put("<d", _GAMMA, float("inf")), "gamma=inf", id="gamma-inf"),
         pytest.param(_put("<Q", _FLAGS, 3), "unknown flag bits", id="unknown-flag"),
         pytest.param(_flip("level", 8), "keys", id="flipped-occupied-bit"),
         pytest.param(_put("<Q", _LEVEL0, 0), "no slots", id="empty-level"),
