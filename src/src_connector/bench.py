@@ -36,7 +36,10 @@ CSV_COLUMNS = [
 
 
 def random_canonical_codes(n: int, k: int, seed: int) -> np.ndarray:
-    """n distinct canonical k-mer codes, ascending."""
+    """n distinct canonical k-mer codes, ascending; ValueError if there are fewer."""
+    n_canonical = (4**k + (4 ** (k // 2) if k % 2 == 0 else 0)) // 2
+    if n > n_canonical:
+        raise ValueError(f"{n} keys asked for, but there are only {n_canonical} canonical {k}-mers")
     rng = np.random.default_rng(seed)
     out = np.empty(0, dtype=np.uint64)
     while len(out) < n:

@@ -100,10 +100,11 @@ class PackedArray:
         word = (bitpos >> U64(6)).astype(np.int64)
         off = bitpos & _WORD_MASK
         vals = values.astype(np.uint64, copy=False) & self._mask
-        np.bitwise_or.at(self.words, word, vals << off)
+        # the fields are disjoint and their bits zero, so adding them is or-ing them
+        np.add.at(self.words, word, vals << off)
         spill = off > U64(0)
         hi = np.where(spill, vals >> ((U64(64) - off) & _WORD_MASK), U64(0))
-        np.bitwise_or.at(self.words, word + 1, hi)
+        np.add.at(self.words, word + 1, hi)
 
     def get_many(self, indices: np.ndarray) -> np.ndarray:
         width = U64(self.width)

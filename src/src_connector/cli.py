@@ -91,13 +91,17 @@ def _resolve_params(args, default_f: int) -> tuple[int, int, int]:
     else:
         f = args.f if args.f is not None else default_f
     t = args.t if args.t is not None else 2
+    _check_k_f(k, f)
+    if t < 1:
+        raise UsageError("t must be >= 1")
+    return k, t, f
+
+
+def _check_k_f(k: int, f: int) -> None:
     if not 1 <= k <= MAX_K:
         raise UsageError(f"k must be <= {MAX_K} (and >= 1)")
     if not 1 <= f <= 2 * k:
         raise UsageError(f"f must be in [1, 2k] = [1, {2 * k}]")
-    if t < 1:
-        raise UsageError("t must be >= 1")
-    return k, t, f
 
 
 def _load_prebuilt(args, k, t, f):
@@ -203,6 +207,7 @@ def cmd_link(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_k_f(args.k, args.f)
     rows = run_bench(
         sizes=args.sizes, f=args.f, k=args.k, gamma=args.gamma, seed=args.seed,
         out_path=args.out,

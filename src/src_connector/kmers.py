@@ -149,42 +149,71 @@ def _run_lengths(sorted_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Spill:
-    """Temp-file partitions of k-mer codes, range-partitioned by high code bits
-    so per-partition results concatenate back in ascending code order."""
+    """Temp-file partitions of uint64 keys below 2^key_bits, range-partitioned
+    by their high bits so per-partition results concatenate back in ascending
+    key order."""
 
     N_PARTITIONS = 64
 
-    def __init__(self, k: int, tmp_dir: str | None):
-        self.shift = U64(max(0, 2 * k - 6))
-        self.dir = tempfile.TemporaryDirectory(prefix="kmer_spill_", dir=tmp_dir)
+    def __init__(self, key_bits: int, tmp_dir: str | None):
+        self.shift = U64(max(0, key_bits - 6))
+        self.dir = tempfile.TemporaryDirectory(prefix="src_spill_", dir=tmp_dir)
         self.files = [
             open(os.path.join(self.dir.name, f"part_{i:02d}.bin"), "wb")
             for i in range(self.N_PARTITIONS)
         ]
 
-    def write(self, codes: np.ndarray) -> None:
-        part = (codes >> self.shift).astype(np.int64)
-        order = np.argsort(part, kind="stable")
-        part = part[order]
-        codes = codes[order]
-        bounds = np.searchsorted(part, np.arange(self.N_PARTITIONS + 1))
-        for i in range(self.N_PARTITIONS):
-            lo, hi = bounds[i], bounds[i + 1]
-            if hi > lo:
-                self.files[i].write(codes[lo:hi].tobytes())
+    def write(self, keys: np.ndarray) -> None:
+        keys = np.sort(keys)
+        bounds = np.arange(1, self.N_PARTITIONS, dtype=U64) << self.shift
+        for f, part in zip(self.files, np.split(keys, np.searchsorted(keys, bounds))):
+            f.write(part.tobytes())
 
     def partitions(self) -> Iterator[np.ndarray]:
         for f in self.files:
             f.close()
-        for i in range(self.N_PARTITIONS):
-            path = os.path.join(self.dir.name, f"part_{i:02d}.bin")
-            yield np.fromfile(path, dtype=U64)
+            yield np.fromfile(f.name, dtype=U64)
 
     def cleanup(self) -> None:
         for f in self.files:
-            if not f.closed:
-                f.close()
+            f.close()
         self.dir.cleanup()
+
+
+def sorted_keys(
+    batches: Iterable[np.ndarray], key_bits: int, memory_budget: int, tmp_dir: str | None
+) -> Iterator[np.ndarray]:
+    """Every uint64 key of batches (each below 2^key_bits), ascending, as
+    consecutive sorted arrays: one in-memory array or, once the keys pass
+    memory_budget bytes, one per range-partition temp file under tmp_dir.
+    The files are deleted on every exit path."""
+    chunks: list[np.ndarray] = []
+    buffered = 0
+    spill: _Spill | None = None
+    try:
+        for keys in batches:
+            chunks.append(keys)
+            buffered += keys.nbytes
+            if buffered > memory_budget:
+                spill = spill or _Spill(key_bits, tmp_dir)
+                while chunks:
+                    spill.write(chunks.pop())
+        if spill is None:
+            keys = np.empty(sum(map(len, chunks)), dtype=U64)
+            end = len(keys)
+            while chunks:  # last chunk first, each freed once copied
+                start = end - len(chunks[-1])
+                keys[start:end] = chunks.pop()
+                end = start
+            keys.sort()
+            yield keys
+        else:
+            for keys in spill.partitions():
+                keys.sort()
+                yield keys
+    finally:
+        if spill is not None:
+            spill.cleanup()
 
 
 def count_solid_kmers(
@@ -196,71 +225,38 @@ def count_solid_kmers(
 ) -> SolidKmerSet:
     """Exact canonical k-mer counting over a read set, keeping counts >= t.
 
-    Codes are buffered in memory and spilled to range-partitioned temp files
-    when the buffer would exceed memory_budget bytes. Reads are encoded
+    Codes are sorted by sorted_keys, which spills them to temp files under
+    tmp_dir once they pass memory_budget bytes. Reads are encoded
     COUNT_CHUNK_READS at a time; the encoder's temporaries grow with that number.
     """
     _check_k(k)
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
 
-    chunks: list[np.ndarray] = []
-    buffered = 0
-    spill: _Spill | None = None
     digest = BankDigest()
 
-    def flush_to_spill() -> None:
-        nonlocal buffered
-        for arr in chunks:
-            spill.write(arr)
-        chunks.clear()
-        buffered = 0
-
-    def consume(seqs: list[str]) -> None:
-        nonlocal buffered, spill
+    def codes(seqs: list[str]) -> np.ndarray:
         digest.update(seqs)
-        canon, _, _ = encode_reads(seqs, k)
-        if spill is not None:
-            spill.write(canon)
-            return
-        chunks.append(canon)
-        buffered += canon.nbytes
-        if buffered > memory_budget:
-            spill = _Spill(k, tmp_dir)
-            flush_to_spill()
+        return encode_reads(seqs, k)[0]
 
     # map() holds no batch of records while its sequences are encoded
     batches = read_batches(reads, COUNT_CHUNK_READS)
-    for seqs in map(lambda batch: [r.sequence for r in batch], batches):
-        consume(seqs)
-
-    solid_codes: list[np.ndarray] = []
-    solid_counts: list[np.ndarray] = []
+    seqs = map(lambda batch: [r.sequence for r in batch], batches)
+    solid_codes = [np.empty(0, dtype=U64)]
+    solid_counts = [np.empty(0, dtype=np.uint64)]
     n_distinct = 0
-
-    def absorb(codes: np.ndarray) -> None:
-        nonlocal n_distinct
-        codes.sort()
-        uniq, counts = _run_lengths(codes)
+    for part in sorted_keys(map(codes, seqs), 2 * k, memory_budget, tmp_dir):
+        uniq, counts = _run_lengths(part)
         n_distinct += len(uniq)
         keep = counts >= np.uint64(t)
         solid_codes.append(uniq[keep])
         solid_counts.append(counts[keep])
 
-    if spill is not None:
-        try:
-            for part in spill.partitions():
-                absorb(part)
-        finally:
-            spill.cleanup()
-    else:
-        absorb(np.concatenate(chunks) if chunks else np.empty(0, dtype=U64))
-
     return SolidKmerSet(
         k=k,
         t=t,
-        codes=np.concatenate(solid_codes) if solid_codes else np.empty(0, dtype=U64),
-        counts=np.concatenate(solid_counts) if solid_counts else np.empty(0, dtype=np.uint64),
+        codes=np.concatenate(solid_codes),
+        counts=np.concatenate(solid_counts),
         n_distinct_total=n_distinct,
         bank_digest=digest.digest(),
     )

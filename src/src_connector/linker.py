@@ -10,13 +10,15 @@ id+1, then a 0 terminator.
 """
 
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .kmers import encode_reads
+from .kmers import encode_reads, sorted_keys
 from .quasidict import QuasiDictionary
 from .seqio import BankDigest, ReadRecord, ReadStream, ordered_map, read_batches
 
@@ -38,14 +40,13 @@ class MatchRecord:
         return f"{self.query_read_id}: {pairs}"
 
 
-def _bank_pairs(qd: QuasiDictionary, bank):
-    """Yield, per batch, (slot, read_id) arrays of its distinct pairs.
+def _bank_pairs(qd: QuasiDictionary, bank) -> Iterator[np.ndarray]:
+    """Yield, per batch, its distinct (slot, read id) pairs as uint64 keys
+    slot << 32 | read id, which sort by slot, then by read id.
 
-    Pairs come ordered by slot, then by read id; read ids are _SLOT_DTYPE.
-    A read lies in one batch and ids ascend in bank order, so no pair
-    repeats across batches and each slot's ids ascend across them too.
-    Once the whole bank is read, raises ValueError if its reads are not the
-    ones qd was built from.
+    A read lies in one batch, so no pair repeats across batches. Once the
+    whole bank is read, raises ValueError if its reads are not the ones qd
+    was built from.
     """
     digest = BankDigest()
     for batch in read_batches(bank, BANK_BATCH_READS):
@@ -54,14 +55,20 @@ def _bank_pairs(qd: QuasiDictionary, bank):
         canon, _, ptr = encode_reads(seqs, qd.k)
         idx = qd.query_batch(canon)
         pos = np.repeat(np.arange(len(batch), dtype=np.int64), np.diff(ptr))
-        hit = idx >= 0
-        # one key per occurrence, ordered by slot then position in the batch
-        key = np.sort(idx[hit] * len(batch) + pos[hit])
-        key = key[np.diff(key, prepend=-1) != 0]
         rids = np.fromiter((r.id for r in batch), dtype=_SLOT_DTYPE, count=len(batch))
-        yield key // len(batch), rids[key % len(batch)]
+        hit = idx >= 0
+        key = np.sort((idx[hit].astype(np.uint64) << np.uint64(32)) | rids[pos[hit]])
+        yield key[np.diff(key, prepend=~key[:1]) != 0]  # the first key of each run
     if digest.digest() != qd.bank_digest:
         raise ValueError("bank reads differ from those the index was built from")
+
+
+def _sorted_pairs(
+    qd: QuasiDictionary, bank, memory_budget: int, tmp_dir: str | None = None
+) -> Iterator[np.ndarray]:
+    """Every distinct pair key of the bank, ascending, as sorted_keys yields them."""
+    slot_bits = (qd.n_keys - 1).bit_length()
+    return sorted_keys(_bank_pairs(qd, bank), 32 + slot_bits, memory_budget, tmp_dir)
 
 
 class ReadIdTable:
@@ -73,18 +80,12 @@ class ReadIdTable:
 
     @classmethod
     def build(cls, qd: QuasiDictionary, bank) -> "ReadIdTable":
-        slots = [np.empty(0, dtype=np.int64)]
-        rids = [np.empty(0, dtype=_SLOT_DTYPE)]
-        for s, r in _bank_pairs(qd, bank):
-            slots.append(s)
-            rids.append(r)
-        slot = np.concatenate(slots)
-        rid = np.concatenate(rids)
-        del slots, rids
+        (keys,) = _sorted_pairs(qd, bank, sys.maxsize)  # one in-memory run
         offsets = np.zeros(qd.n_keys + 1, dtype=np.int64)
-        np.cumsum(np.bincount(slot, minlength=qd.n_keys), out=offsets[1:])
-        # batches come in read order, so a stable sort keeps each slot's ids ascending
-        return cls(offsets, rid[np.argsort(slot, kind="stable")])
+        slots = (keys >> np.uint64(32)).view(np.int64)
+        np.cumsum(np.bincount(slots, minlength=qd.n_keys), out=offsets[1:])
+        del slots
+        return cls(offsets, keys.astype(_SLOT_DTYPE))
 
     def get(self, slot: int) -> np.ndarray:
         return self.ids[self.offsets[slot] : self.offsets[slot + 1]]
@@ -117,38 +118,31 @@ class DiskIdTable:
 
 
 def _build_disk_table(qd: QuasiDictionary, bank, tmp_dir: str | None = None) -> DiskIdTable:
-    n = qd.n_keys
-    # pass 1: distinct reads per slot, bank-side false positives included
-    occ = np.zeros(n, dtype=np.int64)
-    for slot, _ in _bank_pairs(qd, bank):
-        np.add.at(occ, slot, 1)
-
-    # pass 2: allocate zero-filled blocks of occ+1 slots each
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(occ + 1, out=offsets[1:])
-    total_slots = int(offsets[-1])
-    fd, tmp_path = tempfile.mkstemp(prefix="src_link_ids_", suffix=".bin", dir=tmp_dir)
-    os.ftruncate(fd, total_slots * 4)
-    os.close(fd)
-    table = DiskIdTable(offsets, tmp_path)
-
-    # pass 3: write each pair after the ids its slot got from earlier batches
-    if not total_slots:
-        return table
+    """Write the blocks slot by slot from one bank pass; no pair is buffered
+    in RAM, they spill to temp files under tmp_dir until the pass ends."""
+    occ = np.zeros(qd.n_keys, dtype=np.int64)  # distinct reads per slot
+    open_slot = 0  # every block before it is written and terminated
+    fd, path = tempfile.mkstemp(prefix="src_link_ids_", suffix=".bin", dir=tmp_dir)
     try:
-        mm = np.memmap(tmp_path, dtype=_SLOT_DTYPE, mode="r+", shape=(total_slots,))
-        cursor = np.zeros(n, dtype=np.int64)
-        for slot, rid in _bank_pairs(qd, bank):
-            # slot is sorted: its rank among this batch's pairs of the same slot
-            rank = np.arange(len(slot)) - np.searchsorted(slot, slot)
-            mm[offsets[slot] + cursor[slot] + rank] = rid + 1
-            np.add.at(cursor, slot, 1)
-        mm.flush()
-        del mm
+        with open(fd, "wb") as out:
+            for keys in _sorted_pairs(qd, bank, 0, tmp_dir):
+                if not len(keys):
+                    continue
+                slots = (keys >> np.uint64(32)).view(np.int64)
+                last = int(slots[-1])
+                occ[open_slot : last + 1] += np.bincount(slots - open_slot)
+                # one terminator for each slot the range closes, zero-filled
+                run = np.zeros(len(keys) + last - open_slot, dtype=_SLOT_DTYPE)
+                run[np.arange(len(keys)) + slots - open_slot] = keys.astype(_SLOT_DTYPE) + 1
+                out.write(run)
+                open_slot = last
+            out.write(np.zeros(qd.n_keys - open_slot, dtype=_SLOT_DTYPE))
     except BaseException:
-        table.close()
+        os.unlink(path)
         raise
-    return table
+    offsets = np.zeros(qd.n_keys + 1, dtype=np.int64)
+    np.cumsum(occ + 1, out=offsets[1:])
+    return DiskIdTable(offsets, path)
 
 
 def _similarity(

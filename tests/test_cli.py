@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from src_connector.bench import random_canonical_codes
 from src_connector.cli import build_parser, main
+from src_connector.kmers import canonicalize_batch
 
 from _datagen import planted_family_reads, random_reads, write_fasta
 from _oracles import (
@@ -175,6 +177,32 @@ def test_usage_error_bench_sizes(tmp_path, capsys, sizes):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [(["-k", "0"], "k must be"), (["-k", "40"], "k must be"), (["-f", "0"], "f must be"),
+     (["-k", "5", "-f", "11"], "f must be"), (["-f", "63"], "f must be")],
+)
+def test_usage_error_bench_k_or_f(tmp_path, capsys, flags, message):
+    code = main(["bench", "--sizes", "1000", *flags, "-o", str(tmp_path / "o")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bench_more_keys_than_canonical_kmers(tmp_path, capsys):
+    code = main(["bench", "--sizes", "10", "-k", "5", "-f", "8", "-o", str(tmp_path / "o")])
+    assert code == 2
+    assert "canonical 5-mers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k,n_canonical", [(1, 2), (2, 10), (3, 32)])
+def test_random_canonical_codes_limit(k, n_canonical):
+    codes = random_canonical_codes(n_canonical, k, 0)
+    assert np.array_equal(codes, np.unique(canonicalize_batch(np.arange(4**k, dtype=np.uint64), k)))
+    with pytest.raises(ValueError):
+        random_canonical_codes(n_canonical + 1, k, 0)
+
+
 def test_bench_sizes_accept_exponent_form():
     args = build_parser().parse_args(["bench", "--sizes", "1e3,20", "-o", "o"])
     assert args.sizes == [1000, 20]
@@ -247,13 +275,16 @@ def test_runtime_error_index_other_bank(bank, tmp_path, capsys):
     write_fasta(other, random_reads(np.random.default_rng(1), 30, 100))
     idx = tmp_path / "bank.idx"
     assert main(["index", "-b", str(path), "-t", "1", "-f", "12", "-o", str(idx)]) == 0
+    tmp_dir = tmp_path / "tmp"
+    tmp_dir.mkdir()
     for mode in ("ram", "disk"):
         code = main(
             ["link", "--index", str(idx), "-b", str(other), "-q", str(other), "--mode", mode,
-             "-o", str(tmp_path / "o")]
+             "--tmp-dir", str(tmp_dir), "-o", str(tmp_path / "o")]
         )
         assert code == 2
         assert "bank reads differ from those the index was built from" in capsys.readouterr().err
+        assert list(tmp_dir.iterdir()) == []  # neither spill nor id-table file survives
     direct = tmp_path / "direct.txt"
     reused = tmp_path / "reused.txt"
     args = ["-b", str(path), "-q", str(path), "--min-shared", "1"]

@@ -10,8 +10,9 @@ from src_connector.kmers import (
     count_solid_kmers,
     encode_reads,
     reverse_complement_batch,
+    sorted_keys,
 )
-from src_connector.seqio import ReadRecord
+from src_connector.seqio import ReadRecord, SequenceFormatError
 
 from _datagen import random_reads
 from _oracles import canon_str, code_of, count_kmers, kmer_of, kmer_windows, revcomp_str
@@ -146,6 +147,38 @@ def test_spill_path_matches_in_memory(tmp_path, monkeypatch):
     assert (in_mem.codes == spilled.codes).all()
     assert (in_mem.counts == spilled.counts).all()
     assert in_mem.n_distinct_total == spilled.n_distinct_total
+
+
+def test_spill_removed_when_bank_fails(tmp_path, monkeypatch):
+    # the bad record comes after spilling has begun; nothing may wait for gc
+    bank = tmp_path / "bank.fq"
+    seqs = random_reads(np.random.default_rng(9), 60, 50)
+    records = "".join(f"@r{i}\n{s}\n+\n{'I' * len(s)}\n" for i, s in enumerate(seqs))
+    bank.write_text(records + "@cut\nACGT\n")  # no '+' line
+    spill_dir = tmp_path / "spill"
+    spill_dir.mkdir()
+    monkeypatch.setattr(kmers, "COUNT_CHUNK_READS", 10)
+    with pytest.raises(SequenceFormatError):
+        count_solid_kmers(bank, 15, 1, memory_budget=100, tmp_dir=str(spill_dir))
+    assert list(spill_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("budget", [0, 1000, 1 << 40])
+def test_sorted_keys_ascending(tmp_path, budget):
+    rng = np.random.default_rng(10)
+    batches = [rng.integers(0, 1 << 40, n, dtype=U64) for n in (300, 0, 500, 1)]
+    got = list(sorted_keys(iter(batches), 40, budget, str(tmp_path)))
+    assert len(got) == (1 if budget == 1 << 40 else 64)
+    assert np.array_equal(np.concatenate(got), np.sort(np.concatenate(batches)))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sorted_keys_removes_spill_when_caller_stops(tmp_path):
+    keys = sorted_keys(iter([np.arange(100, dtype=U64)]), 7, 0, str(tmp_path))
+    assert next(keys).tolist() == [0, 1]  # partitions of 2 keys
+    assert list(tmp_path.iterdir()) != []
+    keys.close()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_invalid_parameters():
