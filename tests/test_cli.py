@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from src_connector import linker
 from src_connector.bench import random_canonical_codes
 from src_connector.cli import build_parser, main
 from src_connector.kmers import canonicalize_batch
@@ -102,18 +103,20 @@ def test_link_disk_mode(bank, tmp_path):
     assert parse_linker_output(out) == linker_records(seqs, seqs, 31, 1, 1)
 
 
-def test_link_sidecar(bank, tmp_path):
+def test_link_sidecar(bank, tmp_path, monkeypatch):
     path, seqs = bank
     out = tmp_path / "out.txt"
     sidecar = tmp_path / "map.tsv"
+    monkeypatch.setattr(linker, "DEFAULT_BATCH_READS", 10)  # several batches, in order
     code = main(
         ["link", "-b", str(path), "-q", str(path), "-t", "1", "-o", str(out),
-         "--sidecar", str(sidecar)]
+         "--threads", "2", "--sidecar", str(sidecar)]
     )
     assert code == 0
     lines = sidecar.read_text().splitlines()
     assert len(lines) == len(seqs)
     assert lines[0] == "0\tread0"
+    assert lines == [f"{i}\tread{i}" for i in range(len(seqs))]
 
 
 def test_usage_error_k_too_big(bank, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import os
+import re
 import sys
 import threading
 
@@ -42,7 +44,7 @@ def test_single_read_hand_trace():
     qd, ids = _ram_index(bank, k=3, t=1, f=6)
     assert qd.n_keys == 1  # only AAA
     slot = qd.query_batch(np.array([0], dtype=np.uint64))[0]
-    assert ids.get(slot).tolist() == [0]  # 4 occurrences dedup to one id
+    assert ids.get(np.array([slot])).tolist() == [0]  # 4 occurrences dedup to one id
     rec = link_batch(qd, ids, [ReadRecord(0, "AAAAAA")], 1, False)[0]
     # positions 0 and 3 count; 1, 2 blocked by the k-wide exclusion window
     assert rec.matches == [(0, 2)]
@@ -55,7 +57,7 @@ def test_disjoint_alphabet_reads():
         rec = link_batch(qd, ids, [ReadRecord(9, code_str)], 1, False)[0]
         assert rec.matches == [(want, 2)]
     for slot in range(qd.n_keys):
-        assert len(ids.get(slot)) == 1
+        assert len(ids.get(np.array([slot]))) == 1
 
 
 def test_solidity_filter_drops_unique_kmers():
@@ -146,7 +148,7 @@ def test_disk_block_hand_trace(tmp_path):
         raw = np.fromfile(disk.path, dtype=np.uint32)
         # one block: read 0 once (4 occurrences) stored +1, then the 0 terminator
         assert raw.tolist() == [1, 0]
-        assert disk.get(0).tolist() == [0]
+        assert disk.get(np.array([0])).tolist() == [0]
     finally:
         disk.close()
 
@@ -178,18 +180,18 @@ def test_disk_matches_ram():
 
 
 def test_disk_get_is_thread_safe(tmp_path):
-    # lookups from several threads must not share a file position
+    # batch lookups from several threads must not share a file position
     rng = np.random.default_rng(7)
     bank = _records(random_reads(rng, 2000, 100))
     qd, disk = _disk_index(bank, k=31, t=1, f=12, tmp_dir=str(tmp_path))
-    slots = rng.integers(0, qd.n_keys, 20_000).tolist()
+    batches = np.array_split(rng.integers(0, qd.n_keys, 20_000), 40)
     results = [None] * 4
 
     def lookup_all(i):
-        results[i] = [disk.get(slot).tolist() for slot in slots]
+        results[i] = [disk.get(slots).tolist() for slots in batches]
 
     try:
-        expect = [disk.get(slot).tolist() for slot in slots]
+        expect = [disk.get(slots).tolist() for slots in batches]
         workers = [threading.Thread(target=lookup_all, args=(i,)) for i in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -205,6 +207,115 @@ def test_disk_get_is_thread_safe(tmp_path):
             assert got == expect
     finally:
         disk.close()
+
+
+@pytest.mark.parametrize("damage", ["terminator", "truncated"])
+def test_disk_get_checks_blocks(tmp_path, damage):
+    rng = np.random.default_rng(10)
+    bank = _records(random_reads(rng, 300, 100))
+    qd, disk = _disk_index(bank, k=31, t=1, f=12, tmp_dir=str(tmp_path))
+    try:
+        slots = np.arange(qd.n_keys)
+        disk.get(slots)  # intact
+        if damage == "terminator":
+            with open(disk.path, "r+b") as fh:
+                fh.seek(4 * (int(disk.offsets[qd.n_keys // 2 + 1]) - 1))
+                fh.write(np.uint32(7).tobytes())
+        else:
+            os.truncate(disk.path, 4 * int(disk.offsets[qd.n_keys // 2]))
+        with pytest.raises(IOError, match=re.escape(disk.path)):
+            disk.get(slots)
+    finally:
+        disk.close()
+
+
+def _write_disk_table(path, blocks):
+    """A DiskIdTable over the given per-slot id lists, in the table's file layout."""
+    words = [np.append(np.asarray(ids, dtype=np.int64) + 1, 0) for ids in blocks]
+    np.concatenate(words).astype(np.uint32).tofile(path)
+    offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
+    np.cumsum([len(w) for w in words], out=offsets[1:])
+    return linker.DiskIdTable(offsets, str(path))
+
+
+def _greedy_reference(k, blocks, read_ids, reads, positions, slots, min_shared, exclude_self):
+    records = []
+    for r, rid in enumerate(read_ids):
+        targets = {}  # tid -> [next free position, count]
+        for i, slot in zip(positions[reads == r].tolist(), slots[reads == r].tolist()):
+            for tid in blocks[slot]:
+                state = targets.get(tid)
+                if state is None:
+                    targets[tid] = [i + k, 1]
+                elif i >= state[0]:
+                    state[0] = i + k
+                    state[1] += 1
+        records.append(sorted(
+            (tid, c) for tid, (_, c) in targets.items()
+            if c >= min_shared and not (exclude_self and tid == rid)
+        ))
+    return records
+
+
+@pytest.mark.parametrize("kind", ["ram", "disk"])
+def test_similarity_wide_fields(tmp_path, kind):
+    # target ids up to 2^32 - 2 and positions past 2^25: 26 position bits
+    # leave room for 32 reads per packed key range, so the 70 reads take three
+    rng = np.random.default_rng(11)
+    k, top = 5, 2**32 - 2
+    pool = np.array([0, 1, 2, 77, 2**31, top - 2, top - 1, top], dtype=np.int64)
+    blocks = [
+        sorted(rng.choice(pool, rng.integers(0, 4), replace=False).tolist()) for _ in range(30)
+    ]
+    read_ids = rng.permutation(np.arange(top - 69, top + 1))  # some equal a target id
+    reads, positions = [], []
+    for r in range(len(read_ids)):
+        n = int(rng.integers(0, 12))
+        start = 2**25 if r % 3 == 0 else 0
+        reads += [r] * n
+        positions += (start + np.cumsum(rng.integers(0, 2 * k, n))).tolist()
+    reads, positions = np.array(reads, dtype=np.int64), np.array(positions, dtype=np.int64)
+    slots = rng.integers(0, len(blocks), len(reads))
+    if kind == "ram":
+        offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
+        np.cumsum([len(b) for b in blocks], out=offsets[1:])
+        table = ReadIdTable(offsets, np.array(sum(blocks, []), dtype=np.uint32))
+    else:
+        table = _write_disk_table(tmp_path / "ids.bin", blocks)
+    try:
+        for min_shared, exclude_self in ((1, False), (2, True)):
+            got = linker._similarity(
+                k, table, read_ids, reads, positions, slots, min_shared, exclude_self
+            )
+            assert [rec.query_read_id for rec in got] == read_ids.tolist()
+            assert [rec.matches for rec in got] == _greedy_reference(
+                k, blocks, read_ids, reads, positions, slots, min_shared, exclude_self
+            )
+    finally:
+        if kind == "disk":
+            table.close()
+
+
+def test_long_query_read_matches_oracle(tmp_path):
+    # bank reads strewn through a 72 kbp query with random filler, so shared
+    # k-mers sit at positions past 2^16
+    rng = np.random.default_rng(12)
+    seqs = random_reads(rng, 60, 200)
+    filler = random_reads(rng, 60, 1000)
+    long_read = "".join(f + s for f, s in zip(filler, seqs[::-1]))
+    assert len(long_read) >= 70_000
+    queries = [seqs[0], long_read, seqs[1]]
+    expect = linker_records(seqs, queries, 31, t=1, min_shared=1)
+    batch = [ReadRecord(i, s) for i, s in enumerate(queries)]
+    qd, ram = _ram_index(_records(seqs), k=31, t=1, f=62)
+    disk = _build_disk_table(qd, _records(seqs), str(tmp_path))
+    try:
+        for table in (ram, disk):
+            got = link_batch(qd, table, batch, 1, False)
+            assert [rec.matches for rec in got] == [expect[i] for i in range(len(queries))]
+    finally:
+        disk.close()
+    assert len(expect[1]) == len(seqs)
 
 
 def test_run_linker_ram_vs_disk_files(tmp_path):
@@ -251,7 +362,7 @@ def test_run_linker_bad_mode(tmp_path):
 def test_avg_ids_per_entry():
     qd, ids = _ram_index(_records(["AAAAAA", "AAAAAA"]), k=3, t=1, f=6)
     for slot in range(qd.n_keys):
-        assert ids.get(slot).tolist() == [0, 1]  # two identical reads each keep their id
+        assert ids.get(np.array([slot])).tolist() == [0, 1]  # two identical reads each keep their id
 
 
 @pytest.mark.parametrize("batch_reads", [3, 4096])
@@ -270,7 +381,7 @@ def test_ids_across_batches(tmp_path, monkeypatch, batch_reads):
                 expect[slot].add(read.id)
     try:
         for slot in range(qd.n_keys):
-            got, want = disk.get(slot), ram.get(slot)
+            got, want = disk.get(np.array([slot])), ram.get(np.array([slot]))
             assert got.dtype == want.dtype == np.uint32
             assert np.array_equal(got, want)
             assert (np.diff(want.astype(np.int64)) > 0).all()
@@ -278,3 +389,26 @@ def test_ids_across_batches(tmp_path, monkeypatch, batch_reads):
     finally:
         disk.close()
     assert any(len(ids) > 1 for ids in expect)
+
+
+@pytest.mark.parametrize("gap_bytes, read_bytes", [(0, 64), (4096, 64), (8, 1 << 20)])
+def test_batch_get_matches_per_slot(tmp_path, monkeypatch, gap_bytes, read_bytes):
+    # every slot, repeated and shuffled, plus an empty batch; small windows
+    # and gaps split the disk gather into many preads, some past one buffer
+    rng = np.random.default_rng(13)
+    bank = _records(planted_family_reads(rng, n_families=20, family_size=4, n_background=120))
+    qd = build_bank_index(bank, 31, 1, 12)[0]
+    monkeypatch.setattr(linker, "_GAP_BYTES", gap_bytes)
+    monkeypatch.setattr(linker, "_READ_BYTES", read_bytes)
+    ram = ReadIdTable.build(qd, bank)
+    disk = _build_disk_table(qd, bank, str(tmp_path))
+    try:
+        slots = rng.permutation(np.concatenate([np.arange(qd.n_keys)] * 2))[: 3 * qd.n_keys // 2]
+        want = np.concatenate([ram.ids[ram.offsets[s] : ram.offsets[s + 1]] for s in slots])
+        for table in (ram, disk):
+            got = table.get(slots)
+            assert got.dtype == np.uint32
+            assert np.array_equal(got, want)
+            assert table.get(np.empty(0, dtype=np.int64)).size == 0
+    finally:
+        disk.close()

@@ -47,3 +47,16 @@ def test_query_path_hooks_record_spans(tmp_path):
     )
     for name in ("bitpack.rank1", "mphf.query", "quasidict.query", "bitpack.get_many"):
         assert name in names, f"{name} recorded no span"
+
+
+def test_link_hooks_record_spans(tmp_path):
+    bank = tmp_path / "bank.fa"
+    write_fasta(bank, random_reads(np.random.default_rng(4), 40, 80))
+    for mode, get in (("ram", "linker.ram_get"), ("disk", "linker.disk_get")):
+        names = _traced(
+            tmp_path / f"link-{mode}.json", "link", "-b", str(bank), "-q", str(bank),
+            "-t", "1", "--mode", mode, "--threads", "1", "--tmp-dir", str(tmp_path),
+            "-o", str(tmp_path / f"{mode}.txt"),
+        )
+        for name in ("linker.similarity", get):
+            assert name in names, f"{name} recorded no span in link --mode {mode}"
