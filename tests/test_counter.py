@@ -5,7 +5,7 @@ import pytest
 
 from src_connector import counter
 from src_connector.counter import build_count_table, estimate_batch, run_src_counter
-from src_connector.kmers import SolidKmerSet
+from src_connector.kmers import SolidKmerSet, encode_reads
 from src_connector.quasidict import QuasiDictionary, build_bank_index
 from src_connector.seqio import ReadRecord
 
@@ -167,3 +167,55 @@ def test_query_phase_scales_roughly_linearly():
 
     timed(small)  # warm up
     assert timed(big) <= 13 * timed(small)
+
+
+def _per_read_records(qd, counts, batch):
+    """Loop reference: each read's hits through its own np.sort and mean."""
+    canon, _, ptr = encode_reads([r.sequence for r in batch], qd.k)
+    idx = qd.query_batch(canon)
+    lines = []
+    for r, rec in enumerate(batch):
+        slots = idx[ptr[r] : ptr[r + 1]]
+        hits = counts[slots[slots >= 0]]
+        n = len(hits)
+        if n == 0:
+            lines.append(f"{rec.id}\t0\t0.00\t0\t0\t0\t*")
+        else:
+            srt = np.sort(hits)
+            lines.append(
+                f"{rec.id}\t{n}\t{float(hits.mean()):.2f}\t{srt[n // 2]}\t{srt[0]}\t{srt[-1]}"
+            )
+    return lines
+
+
+def test_estimate_batch_statistics():
+    k = 15
+    rng = np.random.default_rng(11)
+    x = random_reads(rng, 1, 60)[0]
+    # x's k-mers from position 5 on occur three times, those before once;
+    # A*k occurs 300 * 26 times and saturates
+    bank = random_reads(rng, 40, 60) + [x, x[5:], x[5:]] + ["A" * 40] * 300
+    qd, counts = _count_index(_records(bank), k=k, t=1, f=2 * k)
+    query = [
+        "",  # no window
+        "ACGTACG",  # shorter than k
+        random_reads(rng, 1, 50)[0],  # alien
+        x[:k],  # one hit
+        x[3 : 3 + k + 3],  # counts 1, 1, 3, 3: upper median 3
+        x[4 : 4 + k + 1] + "N" + "A" * (k + 3),  # 1, 3 and four saturated
+        "A" * (k + 2),
+        "T" * k + "C" + x,
+    ] + bank[:20]
+    batch = [ReadRecord(100 + i, s) for i, s in enumerate(query)]
+    records = estimate_batch(qd, counts, batch)
+    lines = [rec.format() for rec in records]
+
+    expect = counter_records(bank, query, k, 1)
+    assert [(r[1], r[3]) for r in expect[2:7]] == [(0, 0), (1, 1), (4, 3), (6, 255), (3, 255)]
+    oracle_lines = [
+        f"{100 + rid}\t{n}\t{mean:.2f}\t{med}\t{lo}\t{hi}" + ("\t*" if n == 0 else "")
+        for rid, n, mean, med, lo, hi in expect
+    ]
+    assert lines == oracle_lines
+    assert lines == _per_read_records(qd, counts, batch)
+    assert [rec.no_hit for rec in records[:4]] == [True, True, True, False]

@@ -194,3 +194,26 @@ def test_encode_reads_boundaries():
     assert ptr.tolist() == [0, 3, 3, 4]
     assert pos.tolist() == [0, 1, 2, 0]
     assert kmer_of(int(canon[3]), 3) == canon_str("GGG")
+
+
+def _random_seq(rng, n):
+    return "".join("ACGTacgt"[i] for i in rng.integers(0, 8, n))
+
+
+@pytest.mark.parametrize("k", range(1, 32))
+def test_encode_batch_matches_oracle(k):
+    """One batch puts every window at all four byte phases of the packed
+    kernel and ends reads on its zero-padded tail."""
+    rng = np.random.default_rng(k)
+    seqs = [_random_seq(rng, n) for n in range(k - 1, k + 5)]
+    seqs += ["", "acgtACGT" * 4, "ACGTNACGTTGCA" * 4, "GGRTTY-CA*Cx" * 5, "n" * 40]
+    long = list(_random_seq(rng, 72_000))
+    for i in rng.integers(0, len(long), 30).tolist():
+        long[i] = "N"
+    seqs.append("".join(long))
+    canon, positions, ptr = encode_reads(seqs, k)
+    assert ptr[0] == 0 and ptr[-1] == len(canon) == len(positions)
+    for r, seq in enumerate(seqs):
+        lo, hi = ptr[r], ptr[r + 1]
+        got = list(zip(positions[lo:hi].tolist(), canon[lo:hi].tolist()))
+        assert got == [(i, code_of(kmer)) for i, kmer in kmer_windows(seq, k)], (k, r)

@@ -45,7 +45,10 @@ def test_query_path_hooks_record_spans(tmp_path):
         tmp_path / "count.json", "count", "--index", str(idx), "-q", str(bank),
         "--threads", "1", "-o", str(tmp_path / "out.tsv"),
     )
-    for name in ("bitpack.rank1", "mphf.query", "quasidict.query", "bitpack.get_many"):
+    for name in (
+        "bitpack.rank1", "mphf.query", "quasidict.query", "bitpack.get_many",
+        "counter.estimate", "counter.format",
+    ):
         assert name in names, f"{name} recorded no span"
 
 
