@@ -7,7 +7,7 @@ from .mphf import NOT_FOUND, Mphf
 from .quasidict import NOT_INDEXED, QuasiDictionary, build_bank_index, load_index
 from .counter import AbundanceRecord, build_count_table, estimate_batch, run_src_counter
 from .linker import DiskIdTable, MatchRecord, ReadIdTable, link_batch, run_src_linker
-from .seqio import ReadRecord, ReadStream
+from .seqio import ReadBatch, ReadStream
 
 __all__ = [
     "MAX_K",
@@ -18,8 +18,8 @@ __all__ = [
     "MatchRecord",
     "Mphf",
     "QuasiDictionary",
+    "ReadBatch",
     "ReadIdTable",
-    "ReadRecord",
     "ReadStream",
     "SolidKmerSet",
     "build_bank_index",

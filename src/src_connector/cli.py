@@ -49,6 +49,7 @@ def _whole(text: str) -> int:
 
 
 _at_least_one = _arg_type(int, lambda v: v >= 1, "an integer >= 1")
+_non_negative = _arg_type(int, lambda v: v >= 0, "an integer >= 0")
 _gamma = _arg_type(float, lambda v: math.isfinite(v) and v > 1.0, "a finite number > 1")
 _seed = _arg_type(int, lambda v: 0 <= v < 1 << 64, "an integer in [0, 2^64)")
 _sizes = _arg_type(
@@ -75,7 +76,7 @@ def _add_common(sub: argparse.ArgumentParser, default_f: int) -> None:
     sub.add_argument("--gamma", type=_gamma, default=DEFAULT_GAMMA)
     sub.add_argument("--seed", type=_seed, default=DEFAULT_MASTER_SEED)
     sub.add_argument(
-        "--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET,
+        "--memory-budget", type=_non_negative, default=DEFAULT_MEMORY_BUDGET,
         help="bytes of buffered k-mer codes before counting spills to disk",
     )
     sub.add_argument("--tmp-dir", default=None)

@@ -14,7 +14,7 @@ import numpy as np
 from .bitpack import KEY_CHUNK
 from .kmers import encode_reads
 from .quasidict import QuasiDictionary
-from .seqio import ReadRecord, ordered_map, read_batches
+from .seqio import ReadBatch, ordered_map, output_file, read_batches
 
 COUNT_SATURATION = 255
 DEFAULT_BATCH_READS = 4096  # fixed so output is identical for any thread count
@@ -22,20 +22,24 @@ DEFAULT_BATCH_READS = 4096  # fixed so output is identical for any thread count
 
 @dataclass
 class AbundanceRecord:
-    read_id: int
-    n_kmers_considered: int
-    mean: float
-    median: int
-    min: int
-    max: int
-    no_hit: bool
+    """The abundance statistics of a batch of reads, one entry per read."""
+
+    read_id: np.ndarray  # int64
+    n_kmers_considered: np.ndarray  # int64
+    mean: np.ndarray  # float64
+    median: np.ndarray  # int64, the upper median; 0 without hits
+    min: np.ndarray  # int64
+    max: np.ndarray  # int64
+    no_hit: np.ndarray  # bool
 
     def format(self) -> str:
-        line = (
-            f"{self.read_id}\t{self.n_kmers_considered}\t{self.mean:.2f}"
-            f"\t{self.median}\t{self.min}\t{self.max}"
+        """The batch's output rows, each ending in a newline."""
+        rows = zip(
+            self.read_id.tolist(), self.n_kmers_considered.tolist(), self.mean.tolist(),
+            self.median.tolist(), self.min.tolist(), self.max.tolist(),
+            np.where(self.no_hit, "\t*\n", "\n").tolist(),
         )
-        return line + "\t*" if self.no_hit else line
+        return "".join(map("%d\t%d\t%.2f\t%d\t%d\t%d%s".__mod__, rows))
 
 
 def build_count_table(qd: QuasiDictionary, solid_codes: np.ndarray, solid_counts: np.ndarray) -> np.ndarray:
@@ -46,17 +50,15 @@ def build_count_table(qd: QuasiDictionary, solid_codes: np.ndarray, solid_counts
     return counts
 
 
-def estimate_batch(
-    qd: QuasiDictionary, counts: np.ndarray, batch: list[ReadRecord]
-) -> list[AbundanceRecord]:
-    """One abundance record per read of batch, in batch order.
+def estimate_batch(qd: QuasiDictionary, counts: np.ndarray, batch: ReadBatch) -> AbundanceRecord:
+    """The abundance statistics of each read of batch, in batch order.
 
     Each read's hit counts sit in one run of a single sorted array of
     read << 8 | count keys, so min, upper median and max are indexed at the
     run's start, start + n // 2 and end. Sums are exact (bincount), so
     sum / n is the float64 mean a per-read hits.mean() gives.
     """
-    canon, _, ptr = encode_reads([r.sequence for r in batch], qd.k)
+    canon, _, ptr = encode_reads(batch.seq, batch.offsets, qd.k)
     idx = qd.query_batch(canon)
     hit = idx >= 0
     n_reads = len(batch)
@@ -71,12 +73,8 @@ def estimate_batch(
     has = n > 0
     stats = np.zeros((3, n_reads), dtype=np.int64)  # median, min, max; 0 without hits
     stats[:, has] = srt[np.stack([start + n // 2, start, end - 1])[:, has]]
-    median, lo, hi = stats.tolist()
-    mean = (sums / np.maximum(n, 1)).tolist()
-    return [
-        AbundanceRecord(*row)
-        for row in zip([r.id for r in batch], n.tolist(), mean, median, lo, hi, (~has).tolist())
-    ]
+    read_id = np.arange(batch.first_id, batch.first_id + n_reads, dtype=np.int64)
+    return AbundanceRecord(read_id, n, sums / np.maximum(n, 1), *stats, ~has)
 
 
 def run_src_counter(
@@ -86,8 +84,9 @@ def run_src_counter(
     out_path: str | Path,
     threads: int = 1,
 ) -> None:
-    """Stream query reads and write one abundance record per read, in order."""
-    with open(out_path, "w") as out:
+    """Stream query reads and write one abundance row per read, in order.
+    The output file is deleted if the run fails."""
+    with output_file(out_path) as out:
         out.write(
             f"# src count k={qd.k} t={qd.t} f={qd.f} gamma={qd.mphf.gamma} "
             f"seed={qd.mphf.master_seed} N={qd.n_keys}\n"
@@ -96,4 +95,4 @@ def run_src_counter(
         out.write("# read_id\tn_kmers\tmean\tmedian\tmin\tmax\t(*: no indexed k-mer)\n")
         work = lambda batch: estimate_batch(qd, counts, batch)
         for records in ordered_map(work, read_batches(query_path, DEFAULT_BATCH_READS), threads):
-            out.writelines(rec.format() + "\n" for rec in records)
+            out.write(records.format())

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .seqio import BankDigest, ReadRecord, read_batches
+from .seqio import BankDigest, ReadBatch, read_batches
 
 U64 = np.uint64
 
@@ -88,31 +88,25 @@ def _window_codes(vals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return codes, valid[:m] & valid[k - w : k - w + m]
 
 
-def encode_reads(seqs: list[str], k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def encode_reads(
+    seq: np.ndarray, offsets: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Encode a batch of reads into canonical window codes.
 
+    seq and offsets are a ReadBatch's columns: read r's bases are
+    seq[offsets[r]:offsets[r + 1] - 1], each read followed by a newline.
     Returns (canon_codes, window_positions, read_ptr) where read r's windows
     are canon_codes[read_ptr[r]:read_ptr[r+1]] at the in-read positions
     window_positions[...]. Windows containing non-ACGT bases are dropped
     without renumbering the surviving positions.
     """
     _check_k(k)
-    if not seqs:
-        empty = np.empty(0, dtype=np.int64)
-        return np.empty(0, dtype=U64), empty, np.zeros(1, dtype=np.int64)
-
-    joined = "N".join(seqs)
-    data = np.frombuffer(joined.encode("latin-1"), dtype=np.uint8)
-    vals = _CODE_LUT[data]
+    vals = _CODE_LUT[seq]  # the newlines are non-ACGT, so no window spans two reads
     codes, valid = _window_codes(vals, k)
     gvalid = np.flatnonzero(valid)
     canon = canonicalize_batch(codes[gvalid], k)
-
-    lens = np.fromiter((len(s) for s in seqs), dtype=np.int64, count=len(seqs))
-    starts = np.zeros(len(seqs) + 1, dtype=np.int64)
-    np.cumsum(lens + 1, out=starts[1:])
-    read_ptr = np.searchsorted(gvalid, starts).astype(np.int64)
-    positions = gvalid - np.repeat(starts[:-1], np.diff(read_ptr))
+    read_ptr = np.searchsorted(gvalid, offsets).astype(np.int64)
+    positions = gvalid - np.repeat(offsets[:-1], np.diff(read_ptr))
     return canon, positions, read_ptr
 
 
@@ -213,7 +207,7 @@ def sorted_keys(
 
 
 def count_solid_kmers(
-    reads: str | Path | Iterable[ReadRecord],
+    reads: str | Path | list[str],
     k: int,
     t: int,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
@@ -231,17 +225,15 @@ def count_solid_kmers(
 
     digest = BankDigest()
 
-    def codes(seqs: list[str]) -> np.ndarray:
-        digest.update(seqs)
-        return encode_reads(seqs, k)[0]
+    def codes(batch: ReadBatch) -> np.ndarray:
+        digest.update(batch.seq)
+        return encode_reads(batch.seq, batch.offsets, k)[0]
 
-    # map() holds no batch of records while its sequences are encoded
-    batches = read_batches(reads, COUNT_CHUNK_READS)
-    seqs = map(lambda batch: [r.sequence for r in batch], batches)
     solid_codes = [np.empty(0, dtype=U64)]
     solid_counts = [np.empty(0, dtype=np.uint64)]
     n_distinct = 0
-    for part in sorted_keys(map(codes, seqs), 2 * k, memory_budget, tmp_dir):
+    batches = read_batches(reads, COUNT_CHUNK_READS)
+    for part in sorted_keys(map(codes, batches), 2 * k, memory_budget, tmp_dir):
         uniq, counts = _run_lengths(part)
         n_distinct += len(uniq)
         keep = counts >= np.uint64(t)

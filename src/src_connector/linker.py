@@ -26,7 +26,7 @@ import numpy as np
 
 from .kmers import encode_reads, sorted_keys
 from .quasidict import QuasiDictionary
-from .seqio import BankDigest, ReadRecord, ordered_map, read_batches
+from .seqio import BankDigest, ReadBatch, ordered_map, output_file, read_batches
 
 DEFAULT_MIN_SHARED = 2
 DEFAULT_BATCH_READS = 1024  # query reads per worker batch of run_src_linker
@@ -38,14 +38,23 @@ _READ_BYTES = 1 << 20  # and buffers the blocks of one window of this size at a 
 
 @dataclass
 class MatchRecord:
-    query_read_id: int
-    matches: list[tuple[int, int]]  # (target read id, shared non-overlapping k-mers)
+    """The matches of a batch of reads: read query_read_id[i] shares
+    shared[j] non-overlapping k-mers with bank read target_id[j] for each j
+    in bounds[i]:bounds[i + 1], targets ascending."""
+
+    query_read_id: np.ndarray  # int64
+    bounds: np.ndarray  # int64, one more than query_read_id
+    target_id: np.ndarray  # int64
+    shared: np.ndarray  # int64
 
     def format(self) -> str:
-        if not self.matches:
-            return f"{self.query_read_id}:*"
-        pairs = " ".join(f"{tid}-{cnt}" for tid, cnt in self.matches)
-        return f"{self.query_read_id}: {pairs}"
+        """The batch's output lines, each ending in a newline."""
+        pairs = list(map("%d-%d".__mod__, zip(self.target_id.tolist(), self.shared.tolist())))
+        bounds = self.bounds.tolist()
+        return "".join(
+            f"{rid}: {' '.join(pairs[lo:hi])}\n" if hi > lo else f"{rid}:*\n"
+            for rid, lo, hi in zip(self.query_read_id.tolist(), bounds, bounds[1:])
+        )
 
 
 def _bank_pairs(qd: QuasiDictionary, bank) -> Iterator[np.ndarray]:
@@ -58,12 +67,11 @@ def _bank_pairs(qd: QuasiDictionary, bank) -> Iterator[np.ndarray]:
     """
     digest = BankDigest()
     for batch in read_batches(bank, BANK_BATCH_READS):
-        seqs = [r.sequence for r in batch]
-        digest.update(seqs)
-        canon, _, ptr = encode_reads(seqs, qd.k)
+        digest.update(batch.seq)
+        canon, _, ptr = encode_reads(batch.seq, batch.offsets, qd.k)
         idx = qd.query_batch(canon)
         pos = np.repeat(np.arange(len(batch), dtype=np.int64), np.diff(ptr))
-        rids = np.fromiter((r.id for r in batch), dtype=_SLOT_DTYPE, count=len(batch))
+        rids = np.arange(batch.first_id, batch.first_id + len(batch), dtype=_SLOT_DTYPE)
         hit = idx >= 0
         key = np.sort((idx[hit].astype(np.uint64) << np.uint64(32)) | rids[pos[hit]])
         yield key[np.diff(key, prepend=~key[:1]) != 0]  # the first key of each run
@@ -250,7 +258,7 @@ def _similarity(
     slots: np.ndarray,
     min_shared: int,
     exclude_self: bool,
-) -> list[MatchRecord]:
+) -> MatchRecord:
     """Greedy non-overlapping shared k-mer counts of a batch of reads.
 
     The indexed k-mers of the batch come in read order as (index in read_ids
@@ -265,7 +273,8 @@ def _similarity(
     np.cumsum(n, out=row[1:])
     pbits = (int(positions.max(initial=0)) + k).bit_length()
     range_reads = 1 << (31 - pbits)
-    records = []
+    none = np.empty(0, dtype=np.int64)
+    read_parts, tid_parts, count_parts = [none], [none], [none]
     for r0 in range(0, len(read_ids), range_reads):
         r1 = min(r0 + range_reads, len(read_ids))
         a, b = np.searchsorted(reads, [r0, r1])
@@ -280,29 +289,28 @@ def _similarity(
         keep = count >= min_shared
         if exclude_self:
             keep &= tid != read_ids[r0 + read]
-        bounds = np.searchsorted(read[keep], np.arange(r1 - r0 + 1)).tolist()
-        tid, count = tid[keep].tolist(), count[keep].tolist()
-        records += [
-            MatchRecord(rid, list(zip(tid[lo:hi], count[lo:hi])))
-            for rid, lo, hi in zip(read_ids[r0:r1].tolist(), bounds, bounds[1:])
-        ]
-    return records
+        read_parts.append(read[keep] + r0)
+        tid_parts.append(tid[keep])
+        count_parts.append(count[keep])
+    read = np.concatenate(read_parts)  # ascending, and each read's targets too
+    bounds = np.searchsorted(read, np.arange(len(read_ids) + 1))
+    return MatchRecord(read_ids, bounds, np.concatenate(tid_parts), np.concatenate(count_parts))
 
 
 def link_batch(
     qd: QuasiDictionary,
     table: ReadIdTable | DiskIdTable,
-    batch: list[ReadRecord],
+    batch: ReadBatch,
     min_shared: int,
     exclude_self: bool,
-) -> list[MatchRecord]:
-    """One MatchRecord per read of a batch: its k-mers are encoded and looked
+) -> MatchRecord:
+    """The matches of each read of a batch: its k-mers are encoded and looked
     up, their bank read ids gathered and their counts scored all at once."""
-    canon, positions, ptr = encode_reads([r.sequence for r in batch], qd.k)
+    canon, positions, ptr = encode_reads(batch.seq, batch.offsets, qd.k)
     slots = qd.query_batch(canon)
     reads = np.repeat(np.arange(len(batch)), np.diff(ptr))
     hit = slots >= 0
-    read_ids = np.fromiter((r.id for r in batch), dtype=np.int64, count=len(batch))
+    read_ids = np.arange(batch.first_id, batch.first_id + len(batch), dtype=np.int64)
     return _similarity(
         qd.k, table, read_ids, reads[hit], positions[hit], slots[hit], min_shared, exclude_self
     )
@@ -320,10 +328,12 @@ def run_src_linker(
     tmp_dir: str | None = None,
     sidecar_path: str | Path | None = None,
 ) -> None:
-    """One MatchRecord line per query read, in input order.
+    """One line of matches per query read, in input order, and with
+    sidecar_path a file of each query read's id and header bytes.
 
     The id table is built from the bank reads, which must be the reads qd
-    was built from: building it raises ValueError when they are not.
+    was built from: building it raises ValueError when they are not. The
+    output files are deleted if the run fails.
     """
     if mode not in ("ram", "disk"):
         raise ValueError(f"mode must be 'ram' or 'disk', got {mode!r}")
@@ -332,24 +342,24 @@ def run_src_linker(
     else:
         table = ReadIdTable.build(qd, bank_path)
     try:
-        work = lambda batch: (
-            batch, [rec.format() + "\n" for rec in link_batch(qd, table, batch, min_shared, no_self)]
-        )
+        work = lambda batch: (batch, link_batch(qd, table, batch, min_shared, no_self).format())
         with (
-            open(out_path, "w") as out,
-            open(sidecar_path, "w") if sidecar_path else nullcontext() as sidecar,
+            output_file(out_path) as out,
+            output_file(sidecar_path, "wb") if sidecar_path else nullcontext() as sidecar,
         ):
             out.write(
                 f"# src link k={qd.k} t={qd.t} f={qd.f} gamma={qd.mphf.gamma} "
                 f"seed={qd.mphf.master_seed} min_shared={min_shared} mode={mode} N={qd.n_keys}\n"
             )
             out.write("# query_id: target_id-shared_kmers ... (*: no match)\n")
-            for batch, lines in ordered_map(
+            for batch, text in ordered_map(
                 work, read_batches(query_path, DEFAULT_BATCH_READS), threads
             ):
-                out.writelines(lines)
+                out.write(text)
                 if sidecar:
-                    sidecar.writelines(f"{rec.id}\t{rec.header}\n" for rec in batch)
+                    headers = batch.headers.tobytes().split(b"\n")
+                    ids = range(batch.first_id, batch.first_id + len(batch))
+                    sidecar.write(b"".join(map(b"%d\t%b\n".__mod__, zip(ids, headers))))
     finally:
         if mode == "disk":
             table.close()

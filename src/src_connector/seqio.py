@@ -1,53 +1,235 @@
-"""Streaming FASTA/FASTQ reading, plain or gzipped, with 0-based read ids,
-the digest that ties an index to its bank's reads, and the ordered worker
-loop that both tools run their read batches through."""
+"""Streaming FASTA/FASTQ reading, plain or gzipped, into batches of reads
+held as columns, with 0-based read ids; the digest that ties an index to its
+bank's reads; the ordered worker loop that both tools run their read batches
+through, and the output files they write."""
 
 import gzip
 import hashlib
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
+
 GZIP_MAGIC = b"\x1f\x8b"
+# file bytes read per parsing step; a step that completes no record reads as
+# many bytes as it carries, so a record longer than this costs linear time
+BLOCK_BYTES = 1 << 18
+
+_NL, _CR = ord("\n"), ord("\r")
 
 
 class SequenceFormatError(Exception):
     pass
 
 
+def _columns(items: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """items laid end to end, each followed by a newline, and their offsets."""
+    offsets = np.zeros(len(items) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, items), dtype=np.int64, count=len(items)) + 1, out=offsets[1:])
+    return np.frombuffer(b"\n".join([*items, b""]), dtype=np.uint8), offsets
+
+
+def _join(columns: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """One (bytes, offsets) column of consecutive columns."""
+    if len(columns) == 1:
+        return columns[0]
+    data, offsets = zip(*columns)
+    base = np.cumsum([0] + [off[-1] for off in offsets[:-1]])
+    return np.concatenate(data), np.concatenate(
+        [offsets[0][:1]] + [off[1:] + b for off, b in zip(offsets, base.tolist())]
+    )
+
+
 @dataclass
-class ReadRecord:
-    id: int  # 0-based position in file order
-    sequence: str
-    header: str = ""
+class ReadBatch:
+    """Consecutive reads as columns. Read first_id + i has the bases
+    seq[offsets[i]:offsets[i + 1] - 1] and the header (its line after the
+    '>' or '@') headers[header_offsets[i]:header_offsets[i + 1] - 1]; each is
+    followed by a newline byte, which no base or header holds."""
+
+    first_id: int
+    seq: np.ndarray  # uint8
+    offsets: np.ndarray  # int64, len(self) + 1 entries from 0
+    headers: np.ndarray  # uint8
+    header_offsets: np.ndarray  # int64, len(self) + 1 entries from 0
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    @classmethod
+    def from_strings(cls, seqs: list[str], first_id: int = 0) -> "ReadBatch":
+        """Reads with the given sequences (latin-1) and empty headers."""
+        return cls(
+            first_id, *_columns([s.encode("latin-1") for s in seqs]), *_columns([b""] * len(seqs))
+        )
+
+    def _cut(self, lo: int, hi: int) -> "ReadBatch":
+        """Reads lo:hi of the batch."""
+        (seq, offsets), (headers, header_offsets) = (
+            (data[off[lo] : off[hi]], off[lo : hi + 1] - off[lo])
+            for data, off in ((self.seq, self.offsets), (self.headers, self.header_offsets))
+        )
+        return ReadBatch(self.first_id + lo, seq, offsets, headers, header_offsets)
 
 
-def _open_text(path: str | Path):
-    # gzip.open owns the file it opens, so closing the reader closes the file
-    with open(path, "rb") as raw:
-        opener = gzip.open if raw.read(2) == GZIP_MAGIC else open
-    return opener(path, "rt", encoding="latin-1")
+def _concat(parts: list[ReadBatch], first_id: int) -> ReadBatch:
+    """The reads of parts, in order, numbered from first_id."""
+    return ReadBatch(
+        first_id,
+        *_join([(p.seq, p.offsets) for p in parts]),
+        *_join([(p.headers, p.header_offsets) for p in parts]),
+    )
+
+
+def _batches(chunks: Iterable[ReadBatch], batch_size: int) -> Iterator[ReadBatch]:
+    """The reads of consecutive chunks in batches of batch_size, numbered
+    from 0; only the last batch may be shorter."""
+    parts: list[ReadBatch] = []
+    have = first_id = 0
+    for chunk in chunks:
+        lo = 0
+        while lo < len(chunk):
+            hi = min(len(chunk), lo + batch_size - have)
+            parts.append(chunk._cut(lo, hi))
+            have += hi - lo
+            lo = hi
+            if have == batch_size:
+                yield _concat(parts, first_id)
+                first_id += have
+                parts, have = [], 0
+    if parts:
+        yield _concat(parts, first_id)
+
+
+def _lines(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start, end and newline position of each line of buf, which ends in a
+    newline; the end drops the line's trailing carriage returns."""
+    nl = np.flatnonzero(buf == _NL)
+    starts = np.zeros_like(nl)
+    starts[1:] = nl[:-1] + 1
+    ends = nl.copy()
+    while (cr := (ends > starts) & (buf[ends - 1] == _CR)).any():
+        ends -= cr
+    return starts, ends, nl
+
+
+def _pick(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The bytes of buf in the ascending, disjoint ranges [lo, hi)."""
+    edges = np.empty(2 * len(lo) + 2, dtype=np.int64)
+    edges[0], edges[-1] = 0, len(buf)
+    edges[1:-1:2], edges[2:-1:2] = lo, hi
+    keep = np.zeros(len(edges) - 1, dtype=bool)  # the runs between edges alternate
+    keep[1::2] = True
+    return buf[np.repeat(keep, np.diff(edges))]
+
+
+def _line_text(buf, starts, ends, nl, skip: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Each line's text from skip bytes in, followed by its newline, and the offsets."""
+    lo = np.stack([starts + skip, nl], axis=1).ravel()
+    hi = np.stack([ends, nl + 1], axis=1).ravel()
+    offsets = np.zeros(len(starts) + 1, dtype=np.int64)
+    np.cumsum(ends - starts - skip + 1, out=offsets[1:])
+    return _pick(buf, lo, hi), offsets
+
+
+def _fasta_chunk(buf: np.ndarray, eof: bool) -> tuple[ReadBatch, int]:
+    """The FASTA records that end in buf, whole lines from a record start,
+    and the bytes they take: all of buf at the end of the file, else up to
+    its last header line. Empty lines are dropped; every other line that is
+    not a header line belongs to the record of the header line before it."""
+    starts, ends, nl = _lines(buf)
+    text = ends > starts
+    head = text & (buf[starts] == ord(">"))
+    heads = np.flatnonzero(head)
+    stop = len(starts) if eof else int(heads[-1]) if len(heads) else 0
+    heads = heads[heads < stop]
+    if not len(heads):
+        return ReadBatch.from_strings([]), 0
+    # each header's newline, then its record's bases: dropping the first
+    # newline and adding one at the end puts a newline after every record
+    lines = slice(int(heads[0]), stop)
+    base = text[lines] & ~head[lines]
+    lo = np.where(base, starts[lines], nl[lines])
+    hi = np.where(base, ends[lines], nl[lines] + head[lines])
+    seq = np.append(_pick(buf, lo, hi)[1:], np.uint8(_NL))
+    offsets = np.zeros(len(heads) + 1, dtype=np.int64)
+    np.cumsum(np.add.reduceat(hi - lo, heads - heads[0]), out=offsets[1:])  # bases + 1 each
+    headers = _line_text(buf, starts[heads], ends[heads], nl[heads], skip=1)
+    return ReadBatch(0, seq, offsets, *headers), int(nl[stop - 1]) + 1
+
+
+class _NeedMore(Exception):
+    """The lines end inside a record, and more of the file follows."""
+
+
+def _iter_fastq(lines: list[bytes], eof: bool, path: str, line_no: int, next_id: int):
+    """(lines taken, header, sequence) of each FASTQ record in lines, which
+    hold no line ends; line_no lines and next_id reads come before them.
+    Blank lines between records are skipped and the quality may span lines.
+    Raises _NeedMore where the lines run out before eof."""
+    i = 0
+
+    def readline() -> bytes | None:  # None at the end of the file
+        nonlocal i
+        if i == len(lines):
+            if not eof:
+                raise _NeedMore
+            return None
+        i += 1
+        return lines[i - 1]
+
+    while (header := readline()) is not None:
+        if not header:
+            continue  # blank lines between records, as FASTA allows
+        if not header.startswith(b"@"):
+            raise SequenceFormatError(f"{path}:{line_no + i}: expected '@' record header")
+        seq = readline() or b""
+        plus = readline()
+        if plus is None or not plus.startswith(b"+"):
+            raise SequenceFormatError(f"{path}:{line_no + i}: expected '+' separator line")
+        # quality may contain '@' or '+': match it to the sequence length
+        qual = 0
+        while qual < len(seq):
+            qline = readline()
+            if qline is None:
+                raise SequenceFormatError(
+                    f"{path}:{line_no + i}: truncated quality for read {next_id}"
+                )
+            qual += len(qline)
+        if qual != len(seq):
+            raise SequenceFormatError(
+                f"{path}:{line_no + i}: quality/sequence length mismatch for read {next_id}"
+            )
+        yield i, header[1:], seq
+        next_id += 1
 
 
 class ReadStream:
-    """Single-consumer iterator of ReadRecords; format auto-detected from the
-    first byte ('>' FASTA, '@' FASTQ). Ids are consecutive from 0 and stable
-    across re-opens of the same file."""
+    """Single-consumer iterator of ReadBatches of batch_size reads (the last
+    may be shorter); format auto-detected from the first byte ('>' FASTA,
+    '@' FASTQ). Ids are consecutive from 0 and stable across re-opens of the
+    same file, and batch boundaries depend only on batch_size."""
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, batch_size: int):
         self.path = str(path)
-        self._fh = _open_text(path)
+        self.batch_size = batch_size
+        # gzip.open owns the file it opens, so closing the reader closes the file
+        with open(path, "rb") as raw:
+            opener = gzip.open if raw.read(2) == GZIP_MAGIC else open
+        self._fh = opener(path, "rb")
         first = self._fh.read(1)
-        while first in ("\n", "\r"):  # blank lines before the first record
+        while first in (b"\n", b"\r"):  # blank lines before the first record
             first = self._fh.read(1)
-        if first == ">":
+        if first == b">":
             self.format = "fasta"
-        elif first == "@":
+        elif first == b"@":
             self.format = "fastq"
-        elif first == "":
+        elif first == b"":
             self.format = "empty"
         else:
             self._fh.close()
@@ -55,82 +237,81 @@ class ReadStream:
                 f"{self.path}: unrecognized format (expected '>' or '@', got {first!r})"
             )
         self._fh.seek(0)
-        self._line_no = 0
+        self._line_no = 0  # lines of the file parsed so far
+        self._reads = 0  # and reads
 
-    def _readline(self) -> str:
-        line = self._fh.readline()
-        if line:
-            self._line_no += 1
-        return line
-
-    def __iter__(self) -> Iterator[ReadRecord]:
+    def __iter__(self) -> Iterator[ReadBatch]:
         try:
-            if self.format == "fasta":
-                yield from self._iter_fasta()
-            elif self.format == "fastq":
-                yield from self._iter_fastq()
+            if self.format != "empty":
+                yield from _batches(self._chunks(), self.batch_size)
         finally:
             self._fh.close()
 
-    def _iter_fasta(self) -> Iterator[ReadRecord]:
-        header = None
-        seq_parts: list[str] = []
-        next_id = 0
-        for line in iter(self._readline, ""):
-            line = line.rstrip("\r\n")
-            if line.startswith(">"):
-                if header is not None:
-                    yield ReadRecord(next_id, "".join(seq_parts), header)
-                    next_id += 1
-                header = line[1:]
-                seq_parts = []
-            elif line:
-                seq_parts.append(line)
-        if header is not None:
-            yield ReadRecord(next_id, "".join(seq_parts), header)
+    def _chunks(self) -> Iterator[ReadBatch]:
+        """The records of each block of the file; the bytes of a record that
+        does not end in its block are carried over to the next one."""
+        parse = _fasta_chunk if self.format == "fasta" else self._fastq_chunk
+        carry = b""
+        eof = False
+        while not eof:
+            block = self._fh.read(max(BLOCK_BYTES, len(carry)))
+            eof = not block
+            data = carry + block
+            if eof and data and not data.endswith(b"\n"):
+                data += b"\n"
+            buf = np.frombuffer(data, dtype=np.uint8, count=data.rfind(b"\n") + 1)
+            chunk, used = parse(buf, eof)
+            self._reads += len(chunk)
+            carry = data[used:]
+            if len(chunk):
+                yield chunk
 
-    def _iter_fastq(self) -> Iterator[ReadRecord]:
-        next_id = 0
-        for header in iter(self._readline, ""):
-            header = header.rstrip("\r\n")
-            if not header:
-                continue  # blank lines between records, as FASTA allows
-            if not header.startswith("@"):
-                raise SequenceFormatError(
-                    f"{self.path}:{self._line_no}: expected '@' record header"
-                )
-            seq = self._readline().rstrip("\r\n")
-            plus = self._readline()
-            if not plus.startswith("+"):
-                raise SequenceFormatError(
-                    f"{self.path}:{self._line_no}: expected '+' separator line"
-                )
-            # quality may contain '@' or '+': match it to the sequence length
-            qual = ""
-            while len(qual) < len(seq):
-                qline = self._readline()
-                if not qline:
-                    raise SequenceFormatError(
-                        f"{self.path}:{self._line_no}: truncated quality for read {next_id}"
-                    )
-                qual += qline.rstrip("\r\n")
-            if len(qual) != len(seq):
-                raise SequenceFormatError(
-                    f"{self.path}:{self._line_no}: quality/sequence length mismatch "
-                    f"for read {next_id}"
-                )
-            yield ReadRecord(next_id, seq, header[1:])
-            next_id += 1
+    def _fastq_chunk(self, buf: np.ndarray, eof: bool) -> tuple[ReadBatch, int]:
+        """The FASTQ records that end in buf and the bytes they take. Whole
+        records in strict 4-line form ('@' line, sequence, '+' line, quality
+        line as long as the sequence) split in numpy; any other buf goes
+        through _iter_fastq. An empty read's empty quality line is a blank
+        line to _iter_fastq, which it skips, so the two agree there too."""
+        starts, ends, nl = _lines(buf)
+        n = len(starts)
+        m = n - n % 4
+        size = ends[:m] - starts[:m]
+        if (eof and m < n) or not (
+            (buf[starts[0:m:4]] == ord("@")).all()
+            and (buf[starts[2:m:4]] == ord("+")).all()
+            and (size[3::4] == size[1::4]).all()
+        ):
+            return self._fastq_loop(buf.tobytes(), nl, eof)
+        self._line_no += m
+        seq = _line_text(buf, starts[1:m:4], ends[1:m:4], nl[1:m:4])
+        headers = _line_text(buf, starts[0:m:4], ends[0:m:4], nl[0:m:4], skip=1)
+        return ReadBatch(0, *seq, *headers), int(nl[m - 1]) + 1 if m else 0
+
+    def _fastq_loop(self, data: bytes, nl: np.ndarray, eof: bool) -> tuple[ReadBatch, int]:
+        lines = data.split(b"\n")[:-1]  # data ends in a newline
+        if b"\r" in data:
+            lines = [line.rstrip(b"\r") for line in lines]
+        taken, headers, seqs = 0, [], []
+        try:
+            for taken, header, seq in _iter_fastq(lines, eof, self.path, self._line_no, self._reads):
+                headers.append(header)
+                seqs.append(seq)
+        except _NeedMore:
+            pass
+        self._line_no += taken
+        used = int(nl[taken - 1]) + 1 if taken else 0
+        return ReadBatch(0, *_columns(seqs), *_columns(headers)), used
 
 
-def read_batches(
-    reads: str | Path | Iterable[ReadRecord], batch_size: int
-) -> Iterator[list[ReadRecord]]:
-    """Fixed-size batches of reads from a file or an iterable of records;
-    boundaries depend only on batch_size. No reference to a batch is kept
-    here once it is yielded, so the consumer alone decides when it is freed."""
-    records = iter(ReadStream(reads) if isinstance(reads, (str, Path)) else reads)
-    yield from iter(lambda: list(islice(records, batch_size)), [])
+def read_batches(reads: str | Path | list[str], batch_size: int) -> Iterator[ReadBatch]:
+    """Batches of batch_size reads (the last may be shorter) from a file or
+    a list of sequences. No reference to a batch is kept here once it is
+    yielded, so the consumer alone decides when it is freed."""
+    if isinstance(reads, (str, Path)):
+        yield from ReadStream(reads, batch_size)
+    else:
+        for lo in range(0, len(reads), batch_size):
+            yield ReadBatch.from_strings(reads[lo : lo + batch_size], lo)
 
 
 class BankDigest:
@@ -140,11 +321,24 @@ class BankDigest:
     def __init__(self):
         self._hash = hashlib.blake2b(digest_size=16)
 
-    def update(self, seqs: list[str]) -> None:
-        self._hash.update("".join(s + "\n" for s in seqs).encode("latin-1"))
+    def update(self, seq: np.ndarray) -> None:
+        """Add a ReadBatch's seq column, which ends every read with a newline."""
+        self._hash.update(seq)
 
     def digest(self) -> bytes:
         return self._hash.digest()
+
+
+@contextmanager
+def output_file(path: str | Path, mode: str = "w"):
+    """open(path, mode) for the with block, deleting the file if the block raises."""
+    with open(path, mode) as fh:
+        try:
+            yield fh
+        except BaseException:
+            fh.close()
+            os.unlink(path)
+            raise
 
 
 def ordered_map(fn: Callable, items: Iterable, threads: int) -> Iterator:

@@ -7,6 +7,34 @@ k-mers, no bit packing.
 _COMP = {"A": "T", "C": "G", "G": "C", "T": "A"}
 
 
+def file_lines(data: bytes) -> list[bytes]:
+    """The lines of a file's bytes, split at each newline, trailing carriage
+    returns dropped; text after the last newline is a line too."""
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    return [line.rstrip(b"\r") for line in data.split(b"\n")[:-1]]
+
+
+def fasta_records(data: bytes) -> list[tuple[int, bytes, bytes]]:
+    """(id, sequence, header) of each FASTA record, by a loop over its lines:
+    a '>' line starts a record, empty lines are dropped and every other line
+    is appended to the current record."""
+    records = []
+    header = None
+    seq_parts: list[bytes] = []
+    for line in file_lines(data):
+        if line.startswith(b">"):
+            if header is not None:
+                records.append((len(records), b"".join(seq_parts), header))
+            header = line[1:]
+            seq_parts = []
+        elif line:
+            seq_parts.append(line)
+    if header is not None:
+        records.append((len(records), b"".join(seq_parts), header))
+    return records
+
+
 def code_of(kmer: str) -> int:
     """Base-4 number of an ACGT string, first base most significant."""
     return int(kmer.translate(str.maketrans("ACGT", "0123")), 4)

@@ -21,6 +21,7 @@ from src_connector.kmers import SolidKmerSet, encode_reads
 from src_connector.linker import run_src_linker
 from src_connector.mphf import NOT_FOUND, Mphf
 from src_connector.quasidict import QuasiDictionary, build_bank_index
+from src_connector.seqio import ReadBatch
 from src_connector.counter import build_count_table, run_src_counter
 
 from _accept_workers import linker_peak_worker
@@ -272,7 +273,8 @@ def test_criterion_09_query_time_scaling():
     reads = [big[i * length : (i + 1) * length] for i in range(n_reads)]
     codes = []
     for lo in range(0, n_reads, 20_000):
-        canon, _, _ = encode_reads(reads[lo : lo + 20_000], K)
+        batch = ReadBatch.from_strings(reads[lo : lo + 20_000])
+        canon, _, _ = encode_reads(batch.seq, batch.offsets, K)
         codes.append(canon)
     codes = np.concatenate(codes)
     del reads, big

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from src_connector import linker
+from src_connector import counter, linker, seqio
 from src_connector.bench import random_canonical_codes
 from src_connector.cli import build_parser, main
 from src_connector.kmers import canonicalize_batch
@@ -117,6 +117,48 @@ def test_link_sidecar(bank, tmp_path, monkeypatch):
     assert len(lines) == len(seqs)
     assert lines[0] == "0\tread0"
     assert lines == [f"{i}\tread{i}" for i in range(len(seqs))]
+
+
+def test_link_sidecar_writes_header_bytes(tmp_path):
+    # a UTF-8 and a latin-1 header come out as the bytes they are in the input
+    headers = ["r0 café".encode(), "r1 café".encode("latin-1")]
+    seq = random_reads(np.random.default_rng(1), 1, 60)[0].encode()
+    query = tmp_path / "q.fa"
+    query.write_bytes(b"".join(b">" + h + b"\n" + seq + b"\n" for h in headers))
+    sidecar = tmp_path / "map.tsv"
+    code = main(
+        ["link", "-b", str(query), "-q", str(query), "-t", "1", "-o", str(tmp_path / "out.txt"),
+         "--sidecar", str(sidecar)]
+    )
+    assert code == 0
+    assert sidecar.read_bytes() == b"0\tr0 caf\xc3\xa9\n1\tr1 caf\xe9\n"
+
+
+@pytest.mark.parametrize("tool", ["count", "link"])
+def test_failed_run_leaves_no_output(bank, tmp_path, monkeypatch, capsys, tool):
+    # the query's last record is cut short, after earlier batches were written
+    path, _ = bank
+    seqs = random_reads(np.random.default_rng(2), 300, 60)
+    query = tmp_path / "q.fq"
+    query.write_text("".join(f"@q{i}\n{s}\n+\n{'I' * len(s)}\n" for i, s in enumerate(seqs))[:-30])
+    monkeypatch.setattr(counter, "DEFAULT_BATCH_READS", 10)
+    monkeypatch.setattr(linker, "DEFAULT_BATCH_READS", 10)
+    monkeypatch.setattr(seqio, "BLOCK_BYTES", 512)
+    out, sidecar = tmp_path / "out.txt", tmp_path / "map.tsv"
+    args = [tool, "-b", str(path), "-q", str(query), "-t", "1", "--threads", "2", "-o", str(out)]
+    if tool == "link":
+        args += ["--sidecar", str(sidecar)]
+    assert main(args) == 2
+    assert "truncated quality for read 299" in capsys.readouterr().err
+    assert not out.exists() and not sidecar.exists()
+
+
+def test_usage_error_negative_memory_budget(bank, tmp_path, capsys):
+    path, _ = bank
+    base = ["index", "-b", str(path), "-o", str(tmp_path / "bank.idx"), "--memory-budget"]
+    assert main(base + ["-5"]) == 1
+    assert "--memory-budget" in capsys.readouterr().err
+    assert main(base + ["0"]) == 0
 
 
 def test_usage_error_k_too_big(bank, tmp_path, capsys):

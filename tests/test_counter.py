@@ -1,4 +1,5 @@
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,14 +8,17 @@ from src_connector import counter
 from src_connector.counter import build_count_table, estimate_batch, run_src_counter
 from src_connector.kmers import SolidKmerSet, encode_reads
 from src_connector.quasidict import QuasiDictionary, build_bank_index
-from src_connector.seqio import ReadRecord
+from src_connector.seqio import ReadBatch
 
 from _datagen import random_reads, write_fasta
 from _oracles import counter_records, parse_counter_output
 
 
-def _records(seqs):
-    return [ReadRecord(i, s) for i, s in enumerate(seqs)]
+def _row(records, i=0):
+    """Read i's statistics as Python values."""
+    return SimpleNamespace(**{
+        name: getattr(records, name)[i].item() for name in vars(records)
+    })
 
 
 def _count_index(bank, k, t, f):
@@ -29,8 +33,8 @@ def _count(bank, query, k, t, f, out_path, threads=1):
 
 def test_worked_example():
     bank = ["AAAAC", "AAACA"]
-    qd, counts = _count_index(_records(bank), k=4, t=1, f=8)
-    rec = estimate_batch(qd, counts, [ReadRecord(0, "AAAAC")])[0]
+    qd, counts = _count_index(bank, k=4, t=1, f=8)
+    rec = _row(estimate_batch(qd, counts, ReadBatch.from_strings(["AAAAC"])))
     # k-mer counts collected: AAAA -> 1, AAAC -> 2
     assert rec.n_kmers_considered == 2
     assert rec.mean == 1.5
@@ -41,16 +45,16 @@ def test_worked_example():
 
 def test_solidity_filter():
     bank = ["AAAAC", "AAACA"]
-    qd, counts = _count_index(_records(bank), k=4, t=2, f=8)
+    qd, counts = _count_index(bank, k=4, t=2, f=8)
     assert qd.n_keys == 1  # only AAAC occurs twice
-    rec = estimate_batch(qd, counts, [ReadRecord(0, "AAAAC")])[0]
+    rec = _row(estimate_batch(qd, counts, ReadBatch.from_strings(["AAAAC"])))
     assert rec.n_kmers_considered == 1 and rec.max == 2
 
 
 def test_count_saturation():
     bank = ["A" * 40] * 300  # AAAA occurs 300 * 37 times
-    qd, counts = _count_index(_records(bank), k=4, t=1, f=8)
-    rec = estimate_batch(qd, counts, [ReadRecord(0, "AAAA")])[0]
+    qd, counts = _count_index(bank, k=4, t=1, f=8)
+    rec = _row(estimate_batch(qd, counts, ReadBatch.from_strings(["AAAA"])))
     assert rec.max == 255
 
 
@@ -69,19 +73,20 @@ def test_count_table_chunks_match_per_key(monkeypatch):
 
 
 def test_read_shorter_than_k():
-    qd, counts = _count_index(_records(["ACGTACGTACGT"]), k=6, t=1, f=12)
-    rec = estimate_batch(qd, counts, [ReadRecord(0, "ACG")])[0]
+    qd, counts = _count_index(["ACGTACGTACGT"], k=6, t=1, f=12)
+    records = estimate_batch(qd, counts, ReadBatch.from_strings(["ACG"]))
+    rec = _row(records)
     assert rec.no_hit
     assert (rec.n_kmers_considered, rec.mean, rec.median, rec.min, rec.max) == (0, 0.0, 0, 0, 0)
-    assert rec.format().endswith("\t*")
+    assert records.format().endswith("\t*\n")
 
 
 def test_bank_read_always_hits():
     rng = np.random.default_rng(0)
     bank = random_reads(rng, 50, 100)
-    qd, counts = _count_index(_records(bank), k=31, t=1, f=62)
+    qd, counts = _count_index(bank, k=31, t=1, f=62)
     for i in (0, 17, 49):
-        rec = estimate_batch(qd, counts, [ReadRecord(i, bank[i])])[0]
+        rec = _row(estimate_batch(qd, counts, ReadBatch.from_strings([bank[i]], i)))
         assert rec.min >= 1
         assert rec.n_kmers_considered == 100 - 31 + 1
 
@@ -151,17 +156,17 @@ def test_thread_count_does_not_change_output(tmp_path):
 
 def test_query_phase_scales_roughly_linearly():
     rng = np.random.default_rng(5)
-    bank = _records(random_reads(rng, 500, 100))
+    bank = random_reads(rng, 500, 100)
     qd, counts = _count_index(bank, k=31, t=1, f=12)
-    small = [ReadRecord(i, s) for i, s in enumerate(random_reads(rng, 2000, 100))]
-    big = [ReadRecord(i, s) for i, s in enumerate(random_reads(rng, 20_000, 100))]
+    small = random_reads(rng, 2000, 100)
+    big = random_reads(rng, 20_000, 100)
 
     def timed(reads):
         best = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
             for lo in range(0, len(reads), 2000):
-                estimate_batch(qd, counts, reads[lo : lo + 2000])
+                estimate_batch(qd, counts, ReadBatch.from_strings(reads[lo : lo + 2000], lo))
             best = min(best, time.perf_counter() - t0)
         return best
 
@@ -171,19 +176,19 @@ def test_query_phase_scales_roughly_linearly():
 
 def _per_read_records(qd, counts, batch):
     """Loop reference: each read's hits through its own np.sort and mean."""
-    canon, _, ptr = encode_reads([r.sequence for r in batch], qd.k)
+    canon, _, ptr = encode_reads(batch.seq, batch.offsets, qd.k)
     idx = qd.query_batch(canon)
     lines = []
-    for r, rec in enumerate(batch):
+    for r, rid in enumerate(range(batch.first_id, batch.first_id + len(batch))):
         slots = idx[ptr[r] : ptr[r + 1]]
         hits = counts[slots[slots >= 0]]
         n = len(hits)
         if n == 0:
-            lines.append(f"{rec.id}\t0\t0.00\t0\t0\t0\t*")
+            lines.append(f"{rid}\t0\t0.00\t0\t0\t0\t*")
         else:
             srt = np.sort(hits)
             lines.append(
-                f"{rec.id}\t{n}\t{float(hits.mean()):.2f}\t{srt[n // 2]}\t{srt[0]}\t{srt[-1]}"
+                f"{rid}\t{n}\t{float(hits.mean()):.2f}\t{srt[n // 2]}\t{srt[0]}\t{srt[-1]}"
             )
     return lines
 
@@ -195,7 +200,7 @@ def test_estimate_batch_statistics():
     # x's k-mers from position 5 on occur three times, those before once;
     # A*k occurs 300 * 26 times and saturates
     bank = random_reads(rng, 40, 60) + [x, x[5:], x[5:]] + ["A" * 40] * 300
-    qd, counts = _count_index(_records(bank), k=k, t=1, f=2 * k)
+    qd, counts = _count_index(bank, k=k, t=1, f=2 * k)
     query = [
         "",  # no window
         "ACGTACG",  # shorter than k
@@ -206,9 +211,9 @@ def test_estimate_batch_statistics():
         "A" * (k + 2),
         "T" * k + "C" + x,
     ] + bank[:20]
-    batch = [ReadRecord(100 + i, s) for i, s in enumerate(query)]
+    batch = ReadBatch.from_strings(query, 100)
     records = estimate_batch(qd, counts, batch)
-    lines = [rec.format() for rec in records]
+    lines = records.format().splitlines()
 
     expect = counter_records(bank, query, k, 1)
     assert [(r[1], r[3]) for r in expect[2:7]] == [(0, 0), (1, 1), (4, 3), (6, 255), (3, 255)]
@@ -218,4 +223,4 @@ def test_estimate_batch_statistics():
     ]
     assert lines == oracle_lines
     assert lines == _per_read_records(qd, counts, batch)
-    assert [rec.no_hit for rec in records[:4]] == [True, True, True, False]
+    assert records.no_hit[:4].tolist() == [True, True, True, False]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from src_connector import kmers
+from src_connector import kmers, seqio
 from src_connector.kmers import (
     SolidKmerSet,
     canonicalize_batch,
@@ -12,7 +12,7 @@ from src_connector.kmers import (
     reverse_complement_batch,
     sorted_keys,
 )
-from src_connector.seqio import ReadRecord, SequenceFormatError
+from src_connector.seqio import ReadBatch, SequenceFormatError
 
 from _datagen import random_reads
 from _oracles import canon_str, code_of, count_kmers, kmer_of, kmer_windows, revcomp_str
@@ -20,14 +20,19 @@ from _oracles import canon_str, code_of, count_kmers, kmer_of, kmer_windows, rev
 U64 = np.uint64
 
 
+def _encode(seqs, k):
+    batch = ReadBatch.from_strings(seqs)
+    return encode_reads(batch.seq, batch.offsets, k)
+
+
 def _windows(seq, k):
     """(position, canonical code) of every window encode_reads keeps in one read."""
-    canon, positions, _ = encode_reads([seq], k)
+    canon, positions, _ = _encode([seq], k)
     return list(zip(positions.tolist(), canon.tolist()))
 
 
 def test_encode_examples():
-    canon, _, ptr = encode_reads(["AC", "CA", "TT", "AN", "ac"], 2)
+    canon, _, ptr = _encode(["AC", "CA", "TT", "AN", "ac"], 2)
     # CA's reverse complement TG is larger; TT's is AA; lowercase is accepted
     assert canon.tolist() == [0b0001, 0b0100, 0b0000, 0b0001]
     assert ptr.tolist() == [0, 1, 2, 3, 3, 4]  # no window in AN
@@ -35,7 +40,7 @@ def test_encode_examples():
 
 def test_decode_roundtrip():
     assert code_of("GATTACA") == 0b10_00_11_11_00_01_00
-    assert kmer_of(int(encode_reads(["GATTACA"], 7)[0][0]), 7) == "GATTACA"  # < TGTAATC
+    assert kmer_of(int(_encode(["GATTACA"], 7)[0][0]), 7) == "GATTACA"  # < TGTAATC
 
 
 def test_reverse_complement_examples():
@@ -97,7 +102,7 @@ def _solid_as_dict(solid: SolidKmerSet) -> dict[str, int]:
 
 
 def test_count_solid_worked_example():
-    bank = [ReadRecord(0, "AAAAC"), ReadRecord(1, "AAACA")]
+    bank = ["AAAAC", "AAACA"]
     solid = count_solid_kmers(bank, 4, 1)
     assert _solid_as_dict(solid) == {"AAAA": 1, "AAAC": 2, "AACA": 1}
     assert solid.n == 3 and solid.n_distinct_total == 3
@@ -118,7 +123,7 @@ def test_count_total_equals_window_count():
     rng = np.random.default_rng(11)
     seqs = random_reads(rng, 50, 120)
     k = 9
-    solid = count_solid_kmers([ReadRecord(i, s) for i, s in enumerate(seqs)], k, 1)
+    solid = count_solid_kmers(seqs, k, 1)
     n_windows = sum(len(kmer_windows(s, k)) for s in seqs)
     assert int(solid.counts.sum()) == n_windows
 
@@ -130,7 +135,7 @@ def test_count_matches_naive_oracle():
     seqs[0] = seqs[0][:20] + "N" + seqs[0][21:]
     seqs[1] = seqs[1].lower()
     for k, t in [(7, 1), (7, 2), (31, 1)]:
-        solid = count_solid_kmers([ReadRecord(i, s) for i, s in enumerate(seqs)], k, t)
+        solid = count_solid_kmers(seqs, k, t)
         expect = {km: c for km, c in count_kmers(seqs, k).items() if c >= t}
         assert _solid_as_dict(solid) == expect
         # ascending code order
@@ -140,10 +145,9 @@ def test_count_matches_naive_oracle():
 def test_spill_path_matches_in_memory(tmp_path, monkeypatch):
     rng = np.random.default_rng(8)
     seqs = random_reads(rng, 300, 100) * 2
-    reads = [ReadRecord(i, s) for i, s in enumerate(seqs)]
-    in_mem = count_solid_kmers(reads, 15, 2)
+    in_mem = count_solid_kmers(seqs, 15, 2)
     monkeypatch.setattr(kmers, "COUNT_CHUNK_READS", 50)
-    spilled = count_solid_kmers(reads, 15, 2, memory_budget=4096, tmp_dir=str(tmp_path))
+    spilled = count_solid_kmers(seqs, 15, 2, memory_budget=4096, tmp_dir=str(tmp_path))
     assert (in_mem.codes == spilled.codes).all()
     assert (in_mem.counts == spilled.counts).all()
     assert in_mem.n_distinct_total == spilled.n_distinct_total
@@ -158,6 +162,7 @@ def test_spill_removed_when_bank_fails(tmp_path, monkeypatch):
     spill_dir = tmp_path / "spill"
     spill_dir.mkdir()
     monkeypatch.setattr(kmers, "COUNT_CHUNK_READS", 10)
+    monkeypatch.setattr(seqio, "BLOCK_BYTES", 256)  # parse the file a few records at a time
     with pytest.raises(SequenceFormatError):
         count_solid_kmers(bank, 15, 1, memory_budget=100, tmp_dir=str(spill_dir))
     assert list(spill_dir.iterdir()) == []
@@ -189,7 +194,7 @@ def test_invalid_parameters():
 
 
 def test_encode_reads_boundaries():
-    canon, pos, ptr = encode_reads(["AAAAA", "AC", "GGG"], 3)
+    canon, pos, ptr = _encode(["AAAAA", "AC", "GGG"], 3)
     # read 0: 3 windows, read 1: too short, read 2: one window
     assert ptr.tolist() == [0, 3, 3, 4]
     assert pos.tolist() == [0, 1, 2, 0]
@@ -211,7 +216,7 @@ def test_encode_batch_matches_oracle(k):
     for i in rng.integers(0, len(long), 30).tolist():
         long[i] = "N"
     seqs.append("".join(long))
-    canon, positions, ptr = encode_reads(seqs, k)
+    canon, positions, ptr = _encode(seqs, k)
     assert ptr[0] == 0 and ptr[-1] == len(canon) == len(positions)
     for r, seq in enumerate(seqs):
         lo, hi = ptr[r], ptr[r + 1]

@@ -15,14 +15,23 @@ from src_connector.linker import (
     run_src_linker,
 )
 from src_connector.quasidict import build_bank_index
-from src_connector.seqio import ReadRecord
+from src_connector.seqio import ReadBatch
 
 from _datagen import planted_family_reads, random_reads, write_fasta
 from _oracles import linker_records, parse_linker_output
 
 
-def _records(seqs):
-    return [ReadRecord(i, s) for i, s in enumerate(seqs)]
+def _matches(rec):
+    """Each read's (target id, shared k-mers) pairs."""
+    bounds = rec.bounds.tolist()
+    pairs = list(zip(rec.target_id.tolist(), rec.shared.tolist()))
+    return [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _link_one(qd, table, read_id, seq, min_shared=1, exclude_self=False):
+    """The (target id, shared k-mers) pairs of one read."""
+    batch = ReadBatch.from_strings([seq], read_id)
+    return _matches(link_batch(qd, table, batch, min_shared, exclude_self))[0]
 
 
 def _ram_index(bank, k, t, f):
@@ -40,90 +49,89 @@ def _link(bank, query, k, t, f, out, **kwargs):
 
 
 def test_single_read_hand_trace():
-    bank = _records(["AAAAAA"])
+    bank = ["AAAAAA"]
     qd, ids = _ram_index(bank, k=3, t=1, f=6)
     assert qd.n_keys == 1  # only AAA
     slot = qd.query_batch(np.array([0], dtype=np.uint64))[0]
     assert ids.get(np.array([slot])).tolist() == [0]  # 4 occurrences dedup to one id
-    rec = link_batch(qd, ids, [ReadRecord(0, "AAAAAA")], 1, False)[0]
+    matches = _link_one(qd, ids, 0, "AAAAAA")
     # positions 0 and 3 count; 1, 2 blocked by the k-wide exclusion window
-    assert rec.matches == [(0, 2)]
+    assert matches == [(0, 2)]
 
 
 def test_disjoint_alphabet_reads():
-    bank = _records(["AAAAAA", "CCCCCC"])
+    bank = ["AAAAAA", "CCCCCC"]
     qd, ids = _ram_index(bank, k=3, t=1, f=6)
     for code_str, want in (("AAAAAA", 0), ("CCCCCC", 1)):
-        rec = link_batch(qd, ids, [ReadRecord(9, code_str)], 1, False)[0]
-        assert rec.matches == [(want, 2)]
+        matches = _link_one(qd, ids, 9, code_str)
+        assert matches == [(want, 2)]
     for slot in range(qd.n_keys):
         assert len(ids.get(np.array([slot]))) == 1
 
 
 def test_solidity_filter_drops_unique_kmers():
-    bank = _records(["ACGTACGTACGT", "ACGTACGTACGT", "AACCGGTTACGA"])
+    bank = ["ACGTACGTACGT", "ACGTACGTACGT", "AACCGGTTACGA"]
     qd, ids = _ram_index(bank, k=9, t=2, f=18)
-    rec = link_batch(qd, ids, [ReadRecord(2, "AACCGGTTACGA")], 1, False)[0]
-    assert rec.matches == []
+    matches = _link_one(qd, ids, 2, "AACCGGTTACGA")
+    assert matches == []
 
 
 def test_query_with_no_indexed_kmer():
-    qd, ids = _ram_index(_records(["AAAAAAAA"]), k=3, t=1, f=6)
-    rec = link_batch(qd, ids, [ReadRecord(0, "CCCCCCCC")], 1, False)[0]
-    assert rec.matches == []
-    assert rec.format() == "0:*"
+    qd, ids = _ram_index(["AAAAAAAA"], k=3, t=1, f=6)
+    rec = link_batch(qd, ids, ReadBatch.from_strings(["CCCCCCCC"]), 1, False)
+    assert _matches(rec) == [[]]
+    assert rec.format() == "0:*\n"
 
 
 def test_query_shorter_than_k():
-    qd, ids = _ram_index(_records(["AAAAAAAA"]), k=5, t=1, f=10)
-    assert link_batch(qd, ids, [ReadRecord(0, "AAA")], 1, False)[0].matches == []
+    qd, ids = _ram_index(["AAAAAAAA"], k=5, t=1, f=10)
+    assert _link_one(qd, ids, 0, "AAA") == []
 
 
 def test_similarity_cap():
     rng = np.random.default_rng(0)
     seqs = random_reads(rng, 40, 100)
     k = 31
-    qd, ids = _ram_index(_records(seqs), k=k, t=1, f=62)
+    qd, ids = _ram_index(seqs, k=k, t=1, f=62)
     cap = (100 - k) // k + 1
     for i, seq in enumerate(seqs):
-        rec = link_batch(qd, ids, [ReadRecord(i, seq)], 1, False)[0]
-        assert all(cnt <= cap for _, cnt in rec.matches)
-        assert (i, cap) in rec.matches  # self-match at the cap
+        matches = _link_one(qd, ids, i, seq)
+        assert all(cnt <= cap for _, cnt in matches)
+        assert (i, cap) in matches  # self-match at the cap
 
 
 def test_huge_threshold_matches_nothing():
-    qd, ids = _ram_index(_records(["AAAAAAAA"]), k=3, t=1, f=6)
-    rec = link_batch(qd, ids, [ReadRecord(0, "AAAAAAAA")], 10**9, False)[0]
-    assert rec.matches == []
+    qd, ids = _ram_index(["AAAAAAAA"], k=3, t=1, f=6)
+    matches = _link_one(qd, ids, 0, "AAAAAAAA", 10**9, False)
+    assert matches == []
 
 
 def test_exclude_self():
-    qd, ids = _ram_index(_records(["AAAAAAAA"]), k=3, t=1, f=6)
-    rec = link_batch(qd, ids, [ReadRecord(0, "AAAAAAAA")], 1, True)[0]
-    assert rec.matches == []
+    qd, ids = _ram_index(["AAAAAAAA"], k=3, t=1, f=6)
+    matches = _link_one(qd, ids, 0, "AAAAAAAA", 1, True)
+    assert matches == []
 
 
 def test_exact_mode_matches_oracle():
     rng = np.random.default_rng(1)
     seqs = planted_family_reads(rng, n_families=10, family_size=3, n_background=60)
     k = 31
-    qd, ids = _ram_index(_records(seqs), k=k, t=1, f=62)
+    qd, ids = _ram_index(seqs, k=k, t=1, f=62)
     expect = linker_records(seqs, seqs, k, t=1, min_shared=1)
     for i, seq in enumerate(seqs):
-        rec = link_batch(qd, ids, [ReadRecord(i, seq)], 1, False)[0]
-        assert rec.matches == expect[i]
+        matches = _link_one(qd, ids, i, seq)
+        assert matches == expect[i]
 
 
 def test_fp_only_adds_matches():
     rng = np.random.default_rng(2)
     seqs = planted_family_reads(rng, n_families=8, family_size=3, n_background=80)
     k = 31
-    exact_qd, exact_ids = _ram_index(_records(seqs), k=k, t=1, f=62)
-    fuzzy_qd, fuzzy_ids = _ram_index(_records(seqs), k=k, t=1, f=4)
+    exact_qd, exact_ids = _ram_index(seqs, k=k, t=1, f=62)
+    fuzzy_qd, fuzzy_ids = _ram_index(seqs, k=k, t=1, f=4)
     for i, seq in enumerate(seqs):
-        read = ReadRecord(i, seq)
-        exact = dict(link_batch(exact_qd, exact_ids, [read], 1, False)[0].matches)
-        fuzzy = dict(link_batch(fuzzy_qd, fuzzy_ids, [read], 1, False)[0].matches)
+        exact = dict(_link_one(exact_qd, exact_ids, i, seq))
+        fuzzy = dict(_link_one(fuzzy_qd, fuzzy_ids, i, seq))
         for tid, cnt in exact.items():
             assert fuzzy.get(tid, 0) >= cnt
 
@@ -132,18 +140,19 @@ def test_link_batch_matches_oracle():
     # one batch holds every read: empty, shorter than k and N-broken ones included
     rng = np.random.default_rng(9)
     seqs = planted_family_reads(rng, n_families=6, family_size=3, n_background=40)
-    qd, ids = _ram_index(_records(seqs), k=31, t=1, f=62)
+    qd, ids = _ram_index(seqs, k=31, t=1, f=62)
     queries = seqs[:20] + ["", "ACGT", seqs[3][:40] + "N" + seqs[3][41:]] + seqs[20:30]
-    batch = [ReadRecord(i + 100, s) for i, s in enumerate(queries)]
+    batch = ReadBatch.from_strings(queries, 100)
     got = link_batch(qd, ids, batch, 1, False)
-    assert [rec.query_read_id for rec in got] == [read.id for read in batch]
+    assert got.query_read_id.tolist() == list(range(100, 100 + len(queries)))
     expect = linker_records(seqs, queries, 31, t=1, min_shared=1)
-    assert [rec.matches for rec in got] == [expect[i] for i in range(len(queries))]
-    assert got[22].matches and all(rec.matches for rec in got[:20])
+    matches = _matches(got)
+    assert matches == [expect[i] for i in range(len(queries))]
+    assert matches[22] and all(matches[:20])
 
 
 def test_disk_block_hand_trace(tmp_path):
-    qd, disk = _disk_index(_records(["AAAAAA"]), k=3, t=1, f=6, tmp_dir=str(tmp_path))
+    qd, disk = _disk_index(["AAAAAA"], k=3, t=1, f=6, tmp_dir=str(tmp_path))
     try:
         raw = np.fromfile(disk.path, dtype=np.uint32)
         # one block: read 0 once (4 occurrences) stored +1, then the 0 terminator
@@ -154,7 +163,7 @@ def test_disk_block_hand_trace(tmp_path):
 
 
 def test_disk_empty_bank(tmp_path):
-    qd, disk = _disk_index(_records([]), k=3, t=1, f=6, tmp_dir=str(tmp_path))
+    qd, disk = _disk_index([], k=3, t=1, f=6, tmp_dir=str(tmp_path))
     try:
         assert qd.n_keys == 0
         assert np.fromfile(disk.path, dtype=np.uint32).size == 0
@@ -166,15 +175,11 @@ def test_disk_matches_ram():
     rng = np.random.default_rng(3)
     seqs = planted_family_reads(rng, n_families=10, family_size=3, n_background=100)
     k = 31
-    bank = _records(seqs)
-    qd, ids = _ram_index(bank, k=k, t=1, f=62)
-    qd2, disk = _disk_index(bank, k=k, t=1, f=62)
+    qd, ids = _ram_index(seqs, k=k, t=1, f=62)
+    qd2, disk = _disk_index(seqs, k=k, t=1, f=62)
     try:
         for i, seq in enumerate(seqs):
-            read = ReadRecord(i, seq)
-            ram = link_batch(qd, ids, [read], 1, False)[0]
-            dsk = link_batch(qd2, disk, [read], 1, False)[0]
-            assert ram.matches == dsk.matches
+            assert _link_one(qd, ids, i, seq) == _link_one(qd2, disk, i, seq)
     finally:
         disk.close()
 
@@ -182,7 +187,7 @@ def test_disk_matches_ram():
 def test_disk_get_is_thread_safe(tmp_path):
     # batch lookups from several threads must not share a file position
     rng = np.random.default_rng(7)
-    bank = _records(random_reads(rng, 2000, 100))
+    bank = random_reads(rng, 2000, 100)
     qd, disk = _disk_index(bank, k=31, t=1, f=12, tmp_dir=str(tmp_path))
     batches = np.array_split(rng.integers(0, qd.n_keys, 20_000), 40)
     results = [None] * 4
@@ -212,7 +217,7 @@ def test_disk_get_is_thread_safe(tmp_path):
 @pytest.mark.parametrize("damage", ["terminator", "truncated"])
 def test_disk_get_checks_blocks(tmp_path, damage):
     rng = np.random.default_rng(10)
-    bank = _records(random_reads(rng, 300, 100))
+    bank = random_reads(rng, 300, 100)
     qd, disk = _disk_index(bank, k=31, t=1, f=12, tmp_dir=str(tmp_path))
     try:
         slots = np.arange(qd.n_keys)
@@ -287,8 +292,8 @@ def test_similarity_wide_fields(tmp_path, kind):
             got = linker._similarity(
                 k, table, read_ids, reads, positions, slots, min_shared, exclude_self
             )
-            assert [rec.query_read_id for rec in got] == read_ids.tolist()
-            assert [rec.matches for rec in got] == _greedy_reference(
+            assert got.query_read_id.tolist() == read_ids.tolist()
+            assert _matches(got) == _greedy_reference(
                 k, blocks, read_ids, reads, positions, slots, min_shared, exclude_self
             )
     finally:
@@ -306,13 +311,13 @@ def test_long_query_read_matches_oracle(tmp_path):
     assert len(long_read) >= 70_000
     queries = [seqs[0], long_read, seqs[1]]
     expect = linker_records(seqs, queries, 31, t=1, min_shared=1)
-    batch = [ReadRecord(i, s) for i, s in enumerate(queries)]
-    qd, ram = _ram_index(_records(seqs), k=31, t=1, f=62)
-    disk = _build_disk_table(qd, _records(seqs), str(tmp_path))
+    batch = ReadBatch.from_strings(queries)
+    qd, ram = _ram_index(seqs, k=31, t=1, f=62)
+    disk = _build_disk_table(qd, seqs, str(tmp_path))
     try:
         for table in (ram, disk):
             got = link_batch(qd, table, batch, 1, False)
-            assert [rec.matches for rec in got] == [expect[i] for i in range(len(queries))]
+            assert _matches(got) == [expect[i] for i in range(len(queries))]
     finally:
         disk.close()
     assert len(expect[1]) == len(seqs)
@@ -356,11 +361,11 @@ def test_run_linker_thread_determinism(tmp_path):
 
 def test_run_linker_bad_mode(tmp_path):
     with pytest.raises(ValueError):
-        _link(_records(["AAAAAA"]), "y", 3, 1, 6, tmp_path / "o", mode="tape")
+        _link(["AAAAAA"], "y", 3, 1, 6, tmp_path / "o", mode="tape")
 
 
 def test_avg_ids_per_entry():
-    qd, ids = _ram_index(_records(["AAAAAA", "AAAAAA"]), k=3, t=1, f=6)
+    qd, ids = _ram_index(["AAAAAA", "AAAAAA"], k=3, t=1, f=6)
     for slot in range(qd.n_keys):
         assert ids.get(np.array([slot])).tolist() == [0, 1]  # two identical reads each keep their id
 
@@ -369,16 +374,17 @@ def test_avg_ids_per_entry():
 def test_ids_across_batches(tmp_path, monkeypatch, batch_reads):
     # a family's reads fall into different batches at batch_reads=3
     rng = np.random.default_rng(8)
-    bank = _records(planted_family_reads(rng, n_families=20, family_size=4, n_background=120))
+    bank = planted_family_reads(rng, n_families=20, family_size=4, n_background=120)
     qd = build_bank_index(bank, 31, 1, 12)[0]
     monkeypatch.setattr(linker, "BANK_BATCH_READS", batch_reads)
     ram = ReadIdTable.build(qd, bank)
     disk = _build_disk_table(qd, bank, str(tmp_path))
     expect = [set() for _ in range(qd.n_keys)]
-    for read in bank:
-        for slot in qd.query_batch(encode_reads([read.sequence], 31)[0]).tolist():
+    for read_id, seq in enumerate(bank):
+        batch = ReadBatch.from_strings([seq])
+        for slot in qd.query_batch(encode_reads(batch.seq, batch.offsets, 31)[0]).tolist():
             if slot >= 0:
-                expect[slot].add(read.id)
+                expect[slot].add(read_id)
     try:
         for slot in range(qd.n_keys):
             got, want = disk.get(np.array([slot])), ram.get(np.array([slot]))
@@ -396,7 +402,7 @@ def test_batch_get_matches_per_slot(tmp_path, monkeypatch, gap_bytes, read_bytes
     # every slot, repeated and shuffled, plus an empty batch; small windows
     # and gaps split the disk gather into many preads, some past one buffer
     rng = np.random.default_rng(13)
-    bank = _records(planted_family_reads(rng, n_families=20, family_size=4, n_background=120))
+    bank = planted_family_reads(rng, n_families=20, family_size=4, n_background=120)
     qd = build_bank_index(bank, 31, 1, 12)[0]
     monkeypatch.setattr(linker, "_GAP_BYTES", gap_bytes)
     monkeypatch.setattr(linker, "_READ_BYTES", read_bytes)
