@@ -6,9 +6,10 @@ through, and the output files they write."""
 import gzip
 import hashlib
 import os
+import stat
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -128,12 +129,13 @@ def _pick(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return buf[np.repeat(keep, np.diff(edges))]
 
 
-def _line_text(buf, starts, ends, nl, skip: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Each line's text from skip bytes in, followed by its newline, and the offsets."""
-    lo = np.stack([starts + skip, nl], axis=1).ravel()
+def _header_text(buf, starts, ends, nl) -> tuple[np.ndarray, np.ndarray]:
+    """Each header line's text after its first byte, followed by its newline,
+    and the offsets."""
+    lo = np.stack([starts + 1, nl], axis=1).ravel()
     hi = np.stack([ends, nl + 1], axis=1).ravel()
     offsets = np.zeros(len(starts) + 1, dtype=np.int64)
-    np.cumsum(ends - starts - skip + 1, out=offsets[1:])
+    np.cumsum(ends - starts, out=offsets[1:])
     return _pick(buf, lo, hi), offsets
 
 
@@ -159,7 +161,7 @@ def _fasta_chunk(buf: np.ndarray, eof: bool) -> tuple[ReadBatch, int]:
     seq = np.append(_pick(buf, lo, hi)[1:], np.uint8(_NL))
     offsets = np.zeros(len(heads) + 1, dtype=np.int64)
     np.cumsum(np.add.reduceat(hi - lo, heads - heads[0]), out=offsets[1:])  # bases + 1 each
-    headers = _line_text(buf, starts[heads], ends[heads], nl[heads], skip=1)
+    headers = _header_text(buf, starts[heads], ends[heads], nl[heads])
     return ReadBatch(0, seq, offsets, *headers), int(nl[stop - 1]) + 1
 
 
@@ -216,6 +218,8 @@ class ReadStream:
     same file, and batch boundaries depend only on batch_size."""
 
     def __init__(self, path: str | Path, batch_size: int):
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {batch_size}")
         self.path = str(path)
         self.batch_size = batch_size
         # gzip.open owns the file it opens, so closing the reader closes the file
@@ -267,27 +271,8 @@ class ReadStream:
                 yield chunk
 
     def _fastq_chunk(self, buf: np.ndarray, eof: bool) -> tuple[ReadBatch, int]:
-        """The FASTQ records that end in buf and the bytes they take. Whole
-        records in strict 4-line form ('@' line, sequence, '+' line, quality
-        line as long as the sequence) split in numpy; any other buf goes
-        through _iter_fastq. An empty read's empty quality line is a blank
-        line to _iter_fastq, which it skips, so the two agree there too."""
-        starts, ends, nl = _lines(buf)
-        n = len(starts)
-        m = n - n % 4
-        size = ends[:m] - starts[:m]
-        if (eof and m < n) or not (
-            (buf[starts[0:m:4]] == ord("@")).all()
-            and (buf[starts[2:m:4]] == ord("+")).all()
-            and (size[3::4] == size[1::4]).all()
-        ):
-            return self._fastq_loop(buf.tobytes(), nl, eof)
-        self._line_no += m
-        seq = _line_text(buf, starts[1:m:4], ends[1:m:4], nl[1:m:4])
-        headers = _line_text(buf, starts[0:m:4], ends[0:m:4], nl[0:m:4], skip=1)
-        return ReadBatch(0, *seq, *headers), int(nl[m - 1]) + 1 if m else 0
-
-    def _fastq_loop(self, data: bytes, nl: np.ndarray, eof: bool) -> tuple[ReadBatch, int]:
+        """The FASTQ records that end in buf, read by _iter_fastq, and the bytes they take."""
+        data = buf.tobytes()
         lines = data.split(b"\n")[:-1]  # data ends in a newline
         if b"\r" in data:
             lines = [line.rstrip(b"\r") for line in lines]
@@ -299,7 +284,7 @@ class ReadStream:
         except _NeedMore:
             pass
         self._line_no += taken
-        used = int(nl[taken - 1]) + 1 if taken else 0
+        used = int(np.flatnonzero(buf == _NL)[taken - 1]) + 1 if taken else 0
         return ReadBatch(0, *_columns(seqs), *_columns(headers)), used
 
 
@@ -331,13 +316,18 @@ class BankDigest:
 
 @contextmanager
 def output_file(path: str | Path, mode: str = "w"):
-    """open(path, mode) for the with block, deleting the file if the block raises."""
+    """open(path, mode) for the with block. If the block raises, the file is
+    deleted when path names it as a regular file, not through a symlink; a
+    device, FIFO or link is kept, and a failed delete does not replace the
+    error."""
     with open(path, mode) as fh:
         try:
             yield fh
         except BaseException:
-            fh.close()
-            os.unlink(path)
+            with suppress(OSError):
+                opened, named = os.fstat(fh.fileno()), os.lstat(path)
+                if stat.S_ISREG(named.st_mode) and os.path.samestat(named, opened):
+                    os.unlink(path)
             raise
 
 

@@ -1,3 +1,8 @@
+import os
+import stat
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -134,23 +139,78 @@ def test_link_sidecar_writes_header_bytes(tmp_path):
     assert sidecar.read_bytes() == b"0\tr0 caf\xc3\xa9\n1\tr1 caf\xe9\n"
 
 
-@pytest.mark.parametrize("tool", ["count", "link"])
-def test_failed_run_leaves_no_output(bank, tmp_path, monkeypatch, capsys, tool):
-    # the query's last record is cut short, after earlier batches were written
-    path, _ = bank
+def _truncated_query(tmp_path, monkeypatch):
+    """A query FASTQ whose last record is cut short, read in small batches so
+    that earlier batches are written before the run fails."""
     seqs = random_reads(np.random.default_rng(2), 300, 60)
     query = tmp_path / "q.fq"
     query.write_text("".join(f"@q{i}\n{s}\n+\n{'I' * len(s)}\n" for i, s in enumerate(seqs))[:-30])
     monkeypatch.setattr(counter, "DEFAULT_BATCH_READS", 10)
     monkeypatch.setattr(linker, "DEFAULT_BATCH_READS", 10)
     monkeypatch.setattr(seqio, "BLOCK_BYTES", 512)
+    return query
+
+
+_TRUNCATED = "truncated quality for read 299"
+
+
+@pytest.mark.parametrize("tool", ["count", "link"])
+def test_failed_run_leaves_no_output(bank, tmp_path, monkeypatch, capsys, tool):
+    path, _ = bank
+    query = _truncated_query(tmp_path, monkeypatch)
     out, sidecar = tmp_path / "out.txt", tmp_path / "map.tsv"
     args = [tool, "-b", str(path), "-q", str(query), "-t", "1", "--threads", "2", "-o", str(out)]
     if tool == "link":
         args += ["--sidecar", str(sidecar)]
     assert main(args) == 2
-    assert "truncated quality for read 299" in capsys.readouterr().err
+    assert _TRUNCATED in capsys.readouterr().err
     assert not out.exists() and not sidecar.exists()
+
+
+@pytest.mark.parametrize("kind", ["symlink", "fifo"])
+def test_failed_run_keeps_non_regular_output(bank, tmp_path, monkeypatch, capsys, kind):
+    # only a regular file the run itself names is deleted, never a link, device or FIFO
+    path, _ = bank
+    query = _truncated_query(tmp_path, monkeypatch)
+    out = tmp_path / "out"
+    drained = []
+    if kind == "symlink":
+        target = tmp_path / "target.txt"
+        out.symlink_to(target)
+    else:
+        os.mkfifo(out)
+        reader = threading.Thread(target=lambda: drained.append(out.read_bytes()), daemon=True)
+        reader.start()
+    args = ["count", "-b", str(path), "-q", str(query), "-t", "1", "-o", str(out)]
+    assert main(args) == 2
+    assert _TRUNCATED in capsys.readouterr().err
+    assert out.is_symlink() if kind == "symlink" else stat.S_ISFIFO(out.lstat().st_mode)
+    if kind == "symlink":
+        assert target.exists()
+    else:
+        reader.join(timeout=10)
+        assert drained and drained[0].startswith(b"# src count")
+
+
+def test_failed_delete_keeps_run_error(bank, tmp_path, monkeypatch, capsys):
+    # a delete that fails does not hide the error that failed the run
+    path, _ = bank
+    query = _truncated_query(tmp_path, monkeypatch)
+    out, sidecar = tmp_path / "out.txt", tmp_path / "map.tsv"
+    unlink = os.unlink
+
+    def refuse(name, *args, **kwargs):
+        if Path(name) in (out, sidecar):
+            raise PermissionError(13, "Permission denied", str(name))
+        return unlink(name, *args, **kwargs)
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    args = ["link", "-b", str(path), "-q", str(query), "-t", "1", "-o", str(out),
+            "--sidecar", str(sidecar)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert _TRUNCATED in err and "Permission denied" not in err
+    assert out.exists() and sidecar.exists()
 
 
 def test_usage_error_negative_memory_budget(bank, tmp_path, capsys):

@@ -195,6 +195,14 @@ def test_read_batches(tmp_path):
     assert [i for b in batches for i in range(b.first_id, b.first_id + len(b))] == list(range(10))
 
 
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_batch_size_below_one(tmp_path, batch_size):
+    path = tmp_path / "reads.fa"
+    path.write_text(FASTA)
+    with pytest.raises(ValueError, match="batch_size"):
+        ReadStream(path, batch_size)
+
 _BASES = b"ACGTacgtNn*- \r\x00\xe9"  # what a sequence line may hold, besides ACGT
 _EOL = st.sampled_from([b"\n", b"\r\n"])
 _HEADER = st.binary(max_size=8).map(lambda h: h.replace(b"\n", b"_"))
