@@ -25,14 +25,9 @@ def bits_from_bool(mask: np.ndarray) -> np.ndarray:
     return buf.view(U64)
 
 
-def get_bits(words: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Boolean array: bit value at each position."""
-    pos = positions.astype(np.uint64, copy=False)
-    w = words[(pos >> U64(6)).astype(np.int64)]
-    return ((w >> (pos & _WORD_MASK)) & _ONE).astype(bool)
-
-
-KEY_CHUNK = 1 << 20  # keys per pass of a build or fill loop; bounds its temporaries
+# keys per block of a query or per pass of a build or fill loop: small enough
+# that a block's temporaries stay in cache, and it bounds their size
+KEY_CHUNK = 1 << 16
 
 RANK_BLOCK_WORDS = 8  # 512-bit rank blocks
 _SUB_BITS = 9  # in-block prefix count field; at most 7 * 64 = 448 set bits
@@ -56,17 +51,22 @@ def build_rank_blocks(words: np.ndarray) -> np.ndarray:
     return directory
 
 
-def rank1(words: np.ndarray, directory: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Number of set bits strictly before each position (position bits must exist)."""
-    pos = positions.astype(np.int64, copy=False)
-    word = pos >> 6
+def rank1(words: np.ndarray, directory: np.ndarray, word: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Number of set bits strictly before each bit, given as its word index
+    and its one-bit mask within that word (int64; bit 63's mask is negative).
+    The words must exist."""
     # np.take gathers rows several times faster than fancy indexing; bit 63 of
     # a directory word is never set, so the int64 view is exact
-    block = np.take(directory, word >> 3, axis=0).view(np.int64)
+    block = np.take(directory.view(np.int64), word >> 3, axis=0)
     shift = ((word - 1) & (RANK_BLOCK_WORDS - 1)) * _SUB_BITS  # word 0: 63, past every field
-    sub = (block[:, 1] >> shift) & _SUB_MASK
-    partial = np.take(words, word) & ((_ONE << (pos & 63).astype(U64)) - _ONE)
-    return block[:, 0] + sub + popcount(partial)
+    rank = block[:, 1] >> shift
+    rank &= _SUB_MASK
+    rank += block[:, 0]
+    partial = np.take(words.view(np.int64), word)
+    partial &= mask - 1
+    # np.bitwise_count of a signed value counts the bits of its absolute value
+    rank += popcount(partial.view(U64))
+    return rank
 
 
 class PackedArray:
@@ -107,14 +107,17 @@ class PackedArray:
         np.add.at(self.words, word + 1, hi)
 
     def get_many(self, indices: np.ndarray) -> np.ndarray:
-        width = U64(self.width)
-        bitpos = indices.astype(np.uint64, copy=False) * width
-        word = (bitpos >> U64(6)).astype(np.int64)
-        off = bitpos & _WORD_MASK
-        lo = self.words[word] >> off
-        hi = np.where(
-            off > U64(0),
-            self.words[word + 1] << ((U64(64) - off) & _WORD_MASK),
-            U64(0),
-        )
-        return (lo | hi) & self._mask
+        bitpos = indices.astype(U64)
+        bitpos *= U64(self.width)
+        word = (bitpos >> U64(6)).view(np.int64)
+        off = np.bitwise_and(bitpos, _WORD_MASK, out=bitpos)
+        lo = np.take(self.words, word)
+        lo >>= off
+        # the guard word makes word + 1 valid; at off 0 both shifts drop it
+        word += 1
+        hi = np.take(self.words, word)
+        hi <<= _ONE
+        hi <<= np.subtract(_WORD_MASK, off, out=off)
+        lo |= hi
+        lo &= self._mask
+        return lo

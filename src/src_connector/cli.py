@@ -73,8 +73,13 @@ def _add_common(sub: argparse.ArgumentParser, default_f: int) -> None:
     sub.add_argument(
         "--exact", action="store_true", help="set f=2k: no false positives"
     )
-    sub.add_argument("--gamma", type=_gamma, default=DEFAULT_GAMMA)
-    sub.add_argument("--seed", type=_seed, default=DEFAULT_MASTER_SEED)
+    sub.add_argument(
+        "--gamma", type=_gamma, default=None,
+        help=f"MPHF load factor: slots per key at each level (default {DEFAULT_GAMMA})",
+    )
+    sub.add_argument(
+        "--seed", type=_seed, default=None, help=f"MPHF master seed (default {DEFAULT_MASTER_SEED})"
+    )
     sub.add_argument(
         "--memory-budget", type=_non_negative, default=DEFAULT_MEMORY_BUDGET,
         help="bytes of buffered k-mer codes before counting spills to disk",
@@ -113,6 +118,10 @@ def _load_prebuilt(args, k, t, f):
         raise UsageError(f"index was built with t={qd.t}, not t={t}")
     if (args.f is not None or args.exact) and qd.f != f:
         raise UsageError(f"index was built with f={qd.f}, not f={f}")
+    if args.gamma is not None and qd.mphf.gamma != args.gamma:
+        raise UsageError(f"index was built with gamma={qd.mphf.gamma}, not gamma={args.gamma}")
+    if args.seed is not None and qd.mphf.master_seed != args.seed:
+        raise UsageError(f"index was built with seed={qd.mphf.master_seed}, not seed={args.seed}")
     return qd, counts
 
 
@@ -166,7 +175,9 @@ def _require_bank(args):
 def _build(args, k, t, f):
     _require_bank(args)
     return build_bank_index(
-        args.bank, k, t, f, gamma=args.gamma, master_seed=args.seed,
+        args.bank, k, t, f,
+        gamma=DEFAULT_GAMMA if args.gamma is None else args.gamma,
+        master_seed=DEFAULT_MASTER_SEED if args.seed is None else args.seed,
         memory_budget=args.memory_budget, tmp_dir=args.tmp_dir,
     )
 
@@ -181,6 +192,8 @@ def cmd_index(args) -> int:
 def cmd_count(args) -> int:
     k, t, f = _resolve_params(args, default_f=8)
     if args.index:
+        if args.bank:
+            raise UsageError("count --index reads no bank; drop -b (the index holds the bank's counts)")
         qd, counts = _load_prebuilt(args, k, t, f)
         if counts is None:
             raise ValueError(f"{args.index}: index carries no count table")

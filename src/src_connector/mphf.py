@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitpack import KEY_CHUNK, bits_from_bool, build_rank_blocks, get_bits, popcount, rank1
+from .bitpack import KEY_CHUNK, bits_from_bool, build_rank_blocks, popcount, rank1
 
 U64 = np.uint64
 
@@ -46,14 +46,18 @@ def mix64(x: int) -> int:
     return x
 
 
-def mix64_batch(x: np.ndarray) -> np.ndarray:
-    x = x.copy()
-    x ^= x >> U64(33)
+def slot_hash(keys: np.ndarray, seed: int, size: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Slot of each key in a level of `size` slots: the 64-bit avalanche of
+    key ^ seed, mod size. Computed in place in out (returned as an int64
+    view); tmp is scratch of the same length."""
+    x = np.bitwise_xor(keys, U64(seed), out=out)
+    x ^= np.right_shift(x, U64(33), out=tmp)
     x *= U64(_MIX_C1)
-    x ^= x >> U64(33)
+    x ^= np.right_shift(x, U64(33), out=tmp)
     x *= U64(_MIX_C2)
-    x ^= x >> U64(33)
-    return x
+    x ^= np.right_shift(x, U64(33), out=tmp)
+    x %= U64(size)
+    return x.view(np.int64)
 
 
 def level_seed(master_seed: int, level: int) -> int:
@@ -120,6 +124,7 @@ class Mphf:
 
         level_bits = []
         remaining = keys
+        h, t = np.empty((2, min(len(keys), KEY_CHUNK)), dtype=U64)  # slot_hash buffers
         for lvl in range(MAX_LEVELS):
             if len(remaining) == 0:
                 break
@@ -128,7 +133,7 @@ class Mphf:
             counts = np.zeros(size, dtype=np.uint16)
             for lo in range(0, len(remaining), KEY_CHUNK):
                 part = remaining[lo : lo + KEY_CHUNK]
-                pos = (mix64_batch(part ^ U64(seed)) % U64(size)).astype(np.int64)
+                pos = slot_hash(part, seed, size, h[: len(part)], t[: len(part)])
                 np.add.at(counts, pos, np.uint16(1))  # a Python 1 misses add.at's fast path
 
             level_bits.append((size, bits_from_bool(counts == 1), bits_from_bool(counts > 1)))
@@ -136,7 +141,7 @@ class Mphf:
             survivors = []
             for lo in range(0, len(remaining), KEY_CHUNK):
                 part = remaining[lo : lo + KEY_CHUNK]
-                pos = (mix64_batch(part ^ U64(seed)) % U64(size)).astype(np.int64)
+                pos = slot_hash(part, seed, size, h[: len(part)], t[: len(part)])
                 survivors.append(part[counts[pos] > 1])
             remaining = (
                 np.concatenate(survivors) if survivors else np.empty(0, dtype=U64)
@@ -146,28 +151,47 @@ class Mphf:
         return cls(gamma, master_seed, level_bits, remaining)
 
     def query_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Index in [0, n_keys-1] per key, NOT_FOUND (-1) for rejected aliens."""
+        """Index in [0, n_keys-1] per key, NOT_FOUND (-1) for rejected aliens.
+
+        Walks the keys in blocks of KEY_CHUNK, so every per-level temporary
+        of a block stays in cache."""
         keys = np.asarray(keys, dtype=U64)
         res = np.full(len(keys), NOT_FOUND, dtype=np.int64)
-        active_idx = np.arange(len(keys), dtype=np.int64)
-        active_keys = keys
-        for level in self.levels:
-            if len(active_idx) == 0:
-                return res
-            pos = (mix64_batch(active_keys ^ U64(level.seed)) % U64(level.size)).astype(
-                np.int64
-            )
-            hit = get_bits(level.occupied, pos)
-            if hit.any():
-                res[active_idx[hit]] = level.index_offset + rank1(
-                    level.occupied, level.rank_directory, pos[hit]
-                )
-            cont = ~hit & get_bits(level.collided, pos)
-            active_idx = active_idx[cont]
-            active_keys = active_keys[cont]
-        for i, key in zip(active_idx.tolist(), active_keys.tolist()):
-            res[i] = self.fallback.get(key, NOT_FOUND)
+        bufs = np.empty((2, min(len(keys), KEY_CHUNK)), dtype=U64)
+        for lo in range(0, len(keys), KEY_CHUNK):
+            self._query_block(keys[lo : lo + KEY_CHUNK], res[lo : lo + KEY_CHUNK], bufs)
         return res
+
+    def _query_block(self, keys: np.ndarray, res: np.ndarray, bufs: np.ndarray) -> None:
+        """Fill res (a view) with the index of each key in keys."""
+        at = None  # where the active keys sit in the block; None: everywhere
+        for level in self.levels:
+            n = len(keys)
+            if n == 0:
+                return
+            pos = slot_hash(keys, level.seed, level.size, bufs[0, :n], bufs[1, :n])
+            word = np.right_shift(pos, 6, out=bufs[1, :n].view(np.int64))
+            pos &= 63
+            mask = np.left_shift(1, pos, out=pos)  # bit 63's mask is negative
+            occupied = np.take(level.occupied.view(np.int64), word)
+            occupied &= mask
+            hit = np.flatnonzero(occupied != 0)  # about 5x faster on bools than on int64
+            if len(hit):
+                rank = rank1(
+                    level.occupied, level.rank_directory, np.take(word, hit), np.take(mask, hit)
+                )
+                rank += level.index_offset
+                res[hit if at is None else np.take(at, hit)] = rank
+            # a slot is occupied or collided, never both
+            collided = np.take(level.collided.view(np.int64), word)
+            collided &= mask
+            cont = np.flatnonzero(collided != 0)
+            keys = np.take(keys, cont)
+            at = cont if at is None else np.take(at, cont)
+        if self.fallback and len(keys):
+            where = np.arange(len(keys)) if at is None else at
+            for i, key in zip(where.tolist(), keys.tolist()):
+                res[i] = self.fallback.get(key, NOT_FOUND)
 
     def size_bits(self) -> int:
         return sum(level.bits() for level in self.levels) + 128 * len(self.fallback)

@@ -90,16 +90,18 @@ class QuasiDictionary:
         return qd
 
     def query_batch(self, codes: np.ndarray) -> np.ndarray:
-        """Slot per canonical code, NOT_INDEXED (-1) where rejected."""
+        """Slot per canonical code, NOT_INDEXED (-1) where rejected. The MPHF
+        walks all codes at once; fingerprints are checked per KEY_CHUNK block."""
         codes = np.asarray(codes, dtype=U64)
         idx = self.mphf.query_batch(codes)
-        found = idx >= 0
-        if found.any():
-            stored = self.fingerprints.get_many(idx[found])
-            bad = stored != self._fingerprints_of(codes[found])
-            if bad.any():
-                reject = np.flatnonzero(found)[bad]
-                idx[reject] = NOT_INDEXED
+        for lo in range(0, len(codes), KEY_CHUNK):
+            block = idx[lo : lo + KEY_CHUNK]
+            found = np.flatnonzero(block >= 0)
+            if len(found) == 0:
+                continue
+            stored = self.fingerprints.get_many(np.take(block, found))
+            stored ^= self._fingerprints_of(np.take(codes[lo : lo + KEY_CHUNK], found))
+            block[found[stored != 0]] = NOT_INDEXED
         return idx
 
     @property

@@ -167,3 +167,59 @@ def parse_linker_output(path) -> dict[int, list[tuple[int, int]]]:
                     for a, b in (pair.split("-") for pair in rest.split(" "))
                 ]
     return out
+
+
+_M64 = (1 << 64) - 1
+
+
+def mix64(x: int) -> int:
+    """The murmur3 64-bit finalizer of x."""
+    x ^= x >> 33
+    x = x * 0xFF51AFD7ED558CCD & _M64
+    x ^= x >> 33
+    x = x * 0xC4CEB9FE1A85EC53 & _M64
+    return x ^ x >> 33
+
+
+def level_walk(levels, fallback: dict[int, int], key: int) -> int:
+    """Index of key in a cascaded-level MPHF, -1 where rejected, one level at
+    a time. levels holds each level's (size, seed, occupied words, collided
+    words) as Python ints. An occupied slot gives the keys settled by earlier
+    levels plus the occupied bits before it; a collided slot sends the key to
+    the next level; an empty one rejects it. Keys past the last level are
+    looked up in fallback."""
+    settled = 0
+    for size, seed, occupied, collided in levels:
+        word, bit = divmod(mix64(key ^ seed) % size, 64)
+        if occupied[word] >> bit & 1:
+            before = sum(w.bit_count() for w in occupied[:word])
+            return settled + before + (occupied[word] & ((1 << bit) - 1)).bit_count()
+        if not collided[word] >> bit & 1:
+            return -1
+        settled += sum(w.bit_count() for w in occupied)
+    return fallback.get(key, -1)
+
+
+def xorshift_fingerprint(code: int, f: int) -> int:
+    """Low f bits of the xorshift64 (13, 7, 17) step of code."""
+    code ^= code << 13 & _M64
+    code ^= code >> 7
+    code ^= code << 17 & _M64
+    return code & ((1 << f) - 1)
+
+
+def dictionary_slots(levels, fallback, fingerprint_words, f: int, exact: bool, keys) -> list[int]:
+    """Slot of each key in a quasi-dictionary, -1 where rejected: the level
+    walk, then the f-bit field at the slot (field i at bits i*f of the words
+    read as one little-endian number) must equal the key's fingerprint, which
+    in exact mode is the key itself."""
+    packed = sum(w << (64 * i) for i, w in enumerate(fingerprint_words))
+    slots = []
+    for key in keys:
+        slot = level_walk(levels, fallback, key)
+        if slot >= 0:
+            want = key if exact else xorshift_fingerprint(key, f)
+            if packed >> (slot * f) & ((1 << f) - 1) != want:
+                slot = -1
+        slots.append(slot)
+    return slots

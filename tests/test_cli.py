@@ -344,6 +344,30 @@ def test_usage_error_index_param_mismatch(bank, tmp_path, capsys):
     )
     assert code == 1
     assert "t=" in capsys.readouterr().err
+    for flag, value in (("--gamma", "5"), ("--seed", "9")):
+        for tool, extra in (("count", []), ("link", ["-b", str(path)])):
+            code = main(
+                [tool, "--index", str(idx), *extra, "-q", str(path), flag, value,
+                 "-o", str(tmp_path / "o")]
+            )
+            assert code == 1, (tool, flag)
+            assert f"{flag[2:]}=" in capsys.readouterr().err
+    # the values the index was built with are accepted
+    assert main(
+        ["count", "--index", str(idx), "-q", str(path), "--gamma", "2", "--seed", "1337",
+         "-o", str(tmp_path / "o")]
+    ) == 0
+
+
+def test_usage_error_count_index_with_bank(bank, tmp_path, capsys):
+    path, _ = bank
+    idx = tmp_path / "bank.idx"
+    assert main(["index", "-b", str(path), "-t", "1", "-o", str(idx)]) == 0
+    out = tmp_path / "o"
+    code = main(["count", "--index", str(idx), "-b", str(path), "-q", str(path), "-o", str(out)])
+    assert code == 1
+    assert "count --index reads no bank" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_header_reports_loaded_index_params(bank, tmp_path):

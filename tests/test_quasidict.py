@@ -2,8 +2,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from src_connector import mphf as mphf_module
+from src_connector import quasidict as quasidict_module
 from src_connector.bitpack import PackedArray
 from src_connector.kmers import SolidKmerSet, canonicalize_batch
 from src_connector.mphf import Mphf
@@ -15,7 +18,7 @@ from src_connector.quasidict import (
     load_index,
 )
 
-from _oracles import code_of
+from _oracles import code_of, dictionary_slots, level_walk
 
 
 def _solid_from_codes(codes, k, t=1):
@@ -106,6 +109,66 @@ def test_exact_mode_exhaustive_small_k():
     assert qd.exact
     assert (qd.query_batch(indexed) >= 0).all()
     assert (qd.query_batch(aliens) == NOT_INDEXED).all()  # zero FP, exhaustive
+
+
+def _reference_slots(qd, probe):
+    """(MPHF index, dictionary slot) of each probe by the oracles' plain walk."""
+    m = qd.mphf
+    levels = [(lv.size, lv.seed, lv.occupied.tolist(), lv.collided.tolist()) for lv in m.levels]
+    keys = probe.tolist()
+    return (
+        [level_walk(levels, m.fallback, key) for key in keys],
+        dictionary_slots(levels, m.fallback, qd.fingerprints.words.tolist(), qd.f, qd.exact, keys),
+    )
+
+
+# f=62 at k=31 and f=10 at k=5 are exact mode; at 12 and 61 fields straddle
+# words, at 1 and 8 none does; each case reads the last field before the guard word
+@pytest.mark.parametrize("k,f", [(31, 1), (31, 8), (31, 12), (31, 61), (31, 62), (5, 10)])
+@pytest.mark.parametrize("max_levels", [mphf_module.MAX_LEVELS, 2])  # 2: fallback keys
+@given(
+    n_keys=st.integers(0, 250), n_aliens=st.integers(0, 250),
+    chunk=st.sampled_from([1, 7, 64, quasidict_module.KEY_CHUNK]), seed=st.integers(0, 2**32),
+)
+@settings(max_examples=15, deadline=None)
+def test_query_matches_level_walk(k, f, max_levels, n_keys, n_aliens, chunk, seed):
+    pool = _random_solid(n_keys + n_aliens, k=k, seed=seed).codes
+    rng = np.random.default_rng(seed)
+    rng.shuffle(pool)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mphf_module, "MAX_LEVELS", max_levels)
+        mp.setattr(mphf_module, "KEY_CHUNK", chunk)
+        mp.setattr(quasidict_module, "KEY_CHUNK", chunk)
+        qd = QuasiDictionary.create(_solid_from_codes(pool[:n_keys], k), f)
+        assert qd.exact == (f == 2 * k)
+        probe = pool[rng.permutation(len(pool))]  # indexed keys mixed with aliens
+        want_mphf, want = _reference_slots(qd, probe)
+        assert qd.mphf.query_batch(probe).tolist() == want_mphf
+        assert qd.query_batch(probe).tolist() == want
+        indexed = np.isin(probe, pool[:n_keys])
+        assert sorted(np.array(want, dtype=np.int64)[indexed].tolist()) == list(range(n_keys))
+        for empty in (qd.mphf.query_batch, qd.query_batch):
+            got = empty(np.empty(0, dtype=np.uint64))
+            assert got.dtype == np.int64 and len(got) == 0
+
+
+def test_query_level_walk_edge_cases(monkeypatch):
+    """The inputs the property test may draw rarely: no levels, fallback
+    keys past the last level, and many blocks."""
+    monkeypatch.setattr(mphf_module, "KEY_CHUNK", 7)
+    monkeypatch.setattr(quasidict_module, "KEY_CHUNK", 7)
+    empty = QuasiDictionary.create(_solid_from_codes([], 31), 12)
+    assert empty.mphf.levels == [] and empty.n_keys == 0
+    assert (empty.query_batch(np.arange(20, dtype=np.uint64)) == NOT_INDEXED).all()
+
+    monkeypatch.setattr(mphf_module, "MAX_LEVELS", 2)
+    pool = _random_solid(3000, seed=12).codes
+    qd = QuasiDictionary.create(_solid_from_codes(pool[:2000], 31), 12)
+    assert len(qd.mphf.levels) == 2 and len(qd.mphf.fallback) > 0
+    probe = np.random.default_rng(12).permutation(pool)
+    want_mphf, want = _reference_slots(qd, probe)
+    assert qd.mphf.query_batch(probe).tolist() == want_mphf
+    assert qd.query_batch(probe).tolist() == want
 
 
 def test_payload_bits_exact():

@@ -10,11 +10,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from _datagen import random_reads, write_fasta
+from src_connector.bitpack import KEY_CHUNK
+from src_connector.counter import DEFAULT_BATCH_READS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,7 +32,7 @@ def _traced(spans_path, *args):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return {span[1] for span in json.loads(spans_path.read_text())["spans"]}
+    return Counter(span[1] for span in json.loads(spans_path.read_text())["spans"])
 
 
 def test_tracer_installs_every_hook(tmp_path):
@@ -37,12 +40,17 @@ def test_tracer_installs_every_hook(tmp_path):
 
 
 def test_query_path_hooks_record_spans(tmp_path):
-    bank = tmp_path / "bank.fa"
-    write_fasta(bank, random_reads(np.random.default_rng(3), 40, 80))
+    rng = np.random.default_rng(3)
+    bank_reads = random_reads(rng, 40, 80)
+    bank, query = tmp_path / "bank.fa", tmp_path / "query.fa"
+    write_fasta(bank, bank_reads)
+    # one count batch whose k-mers fill more than one MPHF query block
+    read_len = 31 + 2 * KEY_CHUNK // DEFAULT_BATCH_READS
+    write_fasta(query, bank_reads + random_reads(rng, DEFAULT_BATCH_READS - 40, read_len))
     idx = tmp_path / "bank.idx"
     _traced(tmp_path / "index.json", "index", "-b", str(bank), "-t", "1", "-o", str(idx))
     names = _traced(
-        tmp_path / "count.json", "count", "--index", str(idx), "-q", str(bank),
+        tmp_path / "count.json", "count", "--index", str(idx), "-q", str(query),
         "--threads", "1", "-o", str(tmp_path / "out.tsv"),
     )
     for name in (
@@ -50,6 +58,8 @@ def test_query_path_hooks_record_spans(tmp_path):
         "counter.estimate", "counter.format", "seqio.parse",
     ):
         assert name in names, f"{name} recorded no span"
+    # blocks are walked inside the call, so mphf.keys_per_call counts a whole batch
+    assert names["mphf.query"] == names["quasidict.query"] == 1
 
 
 def test_link_hooks_record_spans(tmp_path):
