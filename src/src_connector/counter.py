@@ -17,7 +17,6 @@ from .quasidict import QuasiDictionary
 from .seqio import ReadBatch, ordered_map, output_file, read_batches
 
 COUNT_SATURATION = 255
-DEFAULT_BATCH_READS = 4096  # fixed so output is identical for any thread count
 
 
 @dataclass
@@ -94,5 +93,5 @@ def run_src_counter(
         out.write(f"# counts saturate at {COUNT_SATURATION}\n")
         out.write("# read_id\tn_kmers\tmean\tmedian\tmin\tmax\t(*: no indexed k-mer)\n")
         work = lambda batch: estimate_batch(qd, counts, batch)
-        for records in ordered_map(work, read_batches(query_path, DEFAULT_BATCH_READS), threads):
+        for records in ordered_map(work, read_batches(query_path), threads):
             out.write(records.format())

@@ -21,9 +21,6 @@ U64 = np.uint64
 MAX_K = 31
 
 DEFAULT_MEMORY_BUDGET = 4 << 30  # bytes of buffered k-mer codes before spilling
-# reads encoded per pass of count_solid_kmers; encode_reads peaks at about
-# 52 bytes per base at k = 1 and 40 at k = 31 (100 bp reads, tracemalloc)
-COUNT_CHUNK_READS = 16_384
 
 _CODE_LUT = np.full(256, 255, dtype=np.uint8)  # base value per byte, 255 for non-ACGT
 _CODE_LUT[np.frombuffer(b"ACGTacgt", dtype=np.uint8)] = [0, 1, 2, 3, 0, 1, 2, 3]
@@ -216,8 +213,11 @@ def count_solid_kmers(
     """Exact canonical k-mer counting over a read set, keeping counts >= t.
 
     Codes are sorted by sorted_keys, which spills them to temp files under
-    tmp_dir once they pass memory_budget bytes. Reads are encoded
-    COUNT_CHUNK_READS at a time; the encoder's temporaries grow with that number.
+    tmp_dir once they pass memory_budget bytes. Reads are encoded one
+    read_batches batch at a time (a list is one batch), so for a file the
+    encoder's temporaries, about 52 bytes per base at k = 1 and 40 at k = 31
+    (100 bp reads, tracemalloc), stay near 52 * seqio.BLOCK_BYTES unless a
+    single read is longer.
     """
     _check_k(k)
     if t < 1:
@@ -232,8 +232,7 @@ def count_solid_kmers(
     solid_codes = [np.empty(0, dtype=U64)]
     solid_counts = [np.empty(0, dtype=np.uint64)]
     n_distinct = 0
-    batches = read_batches(reads, COUNT_CHUNK_READS)
-    for part in sorted_keys(map(codes, batches), 2 * k, memory_budget, tmp_dir):
+    for part in sorted_keys(map(codes, read_batches(reads)), 2 * k, memory_budget, tmp_dir):
         uniq, counts = _run_lengths(part)
         n_distinct += len(uniq)
         keep = counts >= np.uint64(t)

@@ -29,9 +29,7 @@ from .quasidict import QuasiDictionary
 from .seqio import BankDigest, ReadBatch, ordered_map, output_file, read_batches
 
 DEFAULT_MIN_SHARED = 2
-DEFAULT_BATCH_READS = 1024  # query reads per worker batch of run_src_linker
-BANK_BATCH_READS = 4096  # bank reads encoded per pass of an id-table build
-_SLOT_DTYPE = np.uint32  # 4-byte little-endian disk slots; caps bank at 2^32 - 2 reads
+_SLOT_DTYPE = np.uint32  # 4-byte little-endian disk slots, which hold id+1 up to the max
 _GAP_BYTES = 4096  # a disk gather reads through gaps up to this size between blocks
 _READ_BYTES = 1 << 20  # and buffers the blocks of one window of this size at a time
 
@@ -61,12 +59,15 @@ def _bank_pairs(qd: QuasiDictionary, bank) -> Iterator[np.ndarray]:
     """Yield, per batch, its distinct (slot, read id) pairs as uint64 keys
     slot << 32 | read id, which sort by slot, then by read id.
 
-    A read lies in one batch, so no pair repeats across batches. Once the
-    whole bank is read, raises ValueError if its reads are not the ones qd
-    was built from.
+    A read lies in one batch, so no pair repeats across batches. Raises
+    ValueError at a read id that _SLOT_DTYPE cannot hold as id+1, and, once
+    the whole bank is read, if its reads are not the ones qd was built from.
     """
     digest = BankDigest()
-    for batch in read_batches(bank, BANK_BATCH_READS):
+    most = np.iinfo(_SLOT_DTYPE).max
+    for batch in read_batches(bank):
+        if batch.first_id + len(batch) > most:
+            raise ValueError(f"bank has more than {most} reads, the most the id table holds")
         digest.update(batch.seq)
         canon, _, ptr = encode_reads(batch.seq, batch.offsets, qd.k)
         idx = qd.query_batch(canon)
@@ -352,9 +353,7 @@ def run_src_linker(
                 f"seed={qd.mphf.master_seed} min_shared={min_shared} mode={mode} N={qd.n_keys}\n"
             )
             out.write("# query_id: target_id-shared_kmers ... (*: no match)\n")
-            for batch, text in ordered_map(
-                work, read_batches(query_path, DEFAULT_BATCH_READS), threads
-            ):
+            for batch, text in ordered_map(work, read_batches(query_path), threads):
                 out.write(text)
                 if sidecar:
                     headers = batch.headers.tobytes().split(b"\n")

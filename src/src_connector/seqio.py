@@ -17,9 +17,10 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 GZIP_MAGIC = b"\x1f\x8b"
-# file bytes read per parsing step; a step that completes no record reads as
-# many bytes as it carries, so a record longer than this costs linear time
-BLOCK_BYTES = 1 << 18
+# the one bound on a batch: a parsing step views this many bytes of the file
+# not yet parsed, and the records that end in them are one batch; only a
+# record longer than this makes a larger batch, of that record alone
+BLOCK_BYTES = 1 << 17
 
 _NL, _CR = ord("\n"), ord("\r")
 
@@ -33,17 +34,6 @@ def _columns(items: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
     offsets = np.zeros(len(items) + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, items), dtype=np.int64, count=len(items)) + 1, out=offsets[1:])
     return np.frombuffer(b"\n".join([*items, b""]), dtype=np.uint8), offsets
-
-
-def _join(columns: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """One (bytes, offsets) column of consecutive columns."""
-    if len(columns) == 1:
-        return columns[0]
-    data, offsets = zip(*columns)
-    base = np.cumsum([0] + [off[-1] for off in offsets[:-1]])
-    return np.concatenate(data), np.concatenate(
-        [offsets[0][:1]] + [off[1:] + b for off, b in zip(offsets, base.tolist())]
-    )
 
 
 @dataclass
@@ -68,43 +58,6 @@ class ReadBatch:
         return cls(
             first_id, *_columns([s.encode("latin-1") for s in seqs]), *_columns([b""] * len(seqs))
         )
-
-    def _cut(self, lo: int, hi: int) -> "ReadBatch":
-        """Reads lo:hi of the batch."""
-        (seq, offsets), (headers, header_offsets) = (
-            (data[off[lo] : off[hi]], off[lo : hi + 1] - off[lo])
-            for data, off in ((self.seq, self.offsets), (self.headers, self.header_offsets))
-        )
-        return ReadBatch(self.first_id + lo, seq, offsets, headers, header_offsets)
-
-
-def _concat(parts: list[ReadBatch], first_id: int) -> ReadBatch:
-    """The reads of parts, in order, numbered from first_id."""
-    return ReadBatch(
-        first_id,
-        *_join([(p.seq, p.offsets) for p in parts]),
-        *_join([(p.headers, p.header_offsets) for p in parts]),
-    )
-
-
-def _batches(chunks: Iterable[ReadBatch], batch_size: int) -> Iterator[ReadBatch]:
-    """The reads of consecutive chunks in batches of batch_size, numbered
-    from 0; only the last batch may be shorter."""
-    parts: list[ReadBatch] = []
-    have = first_id = 0
-    for chunk in chunks:
-        lo = 0
-        while lo < len(chunk):
-            hi = min(len(chunk), lo + batch_size - have)
-            parts.append(chunk._cut(lo, hi))
-            have += hi - lo
-            lo = hi
-            if have == batch_size:
-                yield _concat(parts, first_id)
-                first_id += have
-                parts, have = [], 0
-    if parts:
-        yield _concat(parts, first_id)
 
 
 def _lines(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -139,16 +92,19 @@ def _header_text(buf, starts, ends, nl) -> tuple[np.ndarray, np.ndarray]:
     return _pick(buf, lo, hi), offsets
 
 
-def _fasta_chunk(buf: np.ndarray, eof: bool) -> tuple[ReadBatch, int]:
+def _fasta_chunk(buf: np.ndarray, eof: bool, one: bool) -> tuple[ReadBatch, int]:
     """The FASTA records that end in buf, whole lines from a record start,
     and the bytes they take: all of buf at the end of the file, else up to
-    its last header line. Empty lines are dropped; every other line that is
-    not a header line belongs to the record of the header line before it."""
+    its last header line; with one, only the first record. Empty lines are
+    dropped; every other line that is not a header line belongs to the
+    record of the header line before it."""
     starts, ends, nl = _lines(buf)
     text = ends > starts
     head = text & (buf[starts] == ord(">"))
     heads = np.flatnonzero(head)
     stop = len(starts) if eof else int(heads[-1]) if len(heads) else 0
+    if one and len(heads) > 1:
+        stop = min(stop, int(heads[1]))
     heads = heads[heads < stop]
     if not len(heads):
         return ReadBatch.from_strings([]), 0
@@ -212,16 +168,14 @@ def _iter_fastq(lines: list[bytes], eof: bool, path: str, line_no: int, next_id:
 
 
 class ReadStream:
-    """Single-consumer iterator of ReadBatches of batch_size reads (the last
-    may be shorter); format auto-detected from the first byte ('>' FASTA,
-    '@' FASTQ). Ids are consecutive from 0 and stable across re-opens of the
-    same file, and batch boundaries depend only on batch_size."""
+    """Single-consumer iterator of ReadBatches, one per parsing step (see
+    _chunks), so a batch holds at most BLOCK_BYTES of the file or a single
+    read; format auto-detected from the first byte ('>' FASTA, '@' FASTQ).
+    Ids are consecutive from 0 and stable across re-opens of the same file,
+    and batch boundaries depend only on the file's bytes and BLOCK_BYTES."""
 
-    def __init__(self, path: str | Path, batch_size: int):
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    def __init__(self, path: str | Path):
         self.path = str(path)
-        self.batch_size = batch_size
         # gzip.open owns the file it opens, so closing the reader closes the file
         with open(path, "rb") as raw:
             opener = gzip.open if raw.read(2) == GZIP_MAGIC else open
@@ -246,32 +200,42 @@ class ReadStream:
 
     def __iter__(self) -> Iterator[ReadBatch]:
         try:
-            if self.format != "empty":
-                yield from _batches(self._chunks(), self.batch_size)
+            yield from self._chunks()
         finally:
             self._fh.close()
 
     def _chunks(self) -> Iterator[ReadBatch]:
-        """The records of each block of the file; the bytes of a record that
-        does not end in its block are carried over to the next one."""
+        """The records that end in each step's view: the next BLOCK_BYTES of
+        the file not yet parsed. A view that ends no record is doubled, and a
+        view longer than BLOCK_BYTES gives only its first record, so a
+        record longer than BLOCK_BYTES costs linear time and is a batch alone."""
         parse = _fasta_chunk if self.format == "fasta" else self._fastq_chunk
-        carry = b""
-        eof = False
-        while not eof:
-            block = self._fh.read(max(BLOCK_BYTES, len(carry)))
-            eof = not block
-            data = carry + block
-            if eof and data and not data.endswith(b"\n"):
-                data += b"\n"
-            buf = np.frombuffer(data, dtype=np.uint8, count=data.rfind(b"\n") + 1)
-            chunk, used = parse(buf, eof)
-            self._reads += len(chunk)
-            carry = data[used:]
+        data, size, eof = b"", BLOCK_BYTES, False
+        while True:
+            if len(data) < size and not eof:
+                want = size - len(data)
+                block = self._fh.read(want)
+                data += block
+                eof = len(block) < want  # a buffered read is short only at the end
+                if eof and data and not data.endswith(b"\n"):
+                    data += b"\n"
+            view = data[:size]
+            last = eof and len(view) == len(data)
+            buf = np.frombuffer(view, dtype=np.uint8, count=view.rfind(b"\n") + 1)
+            chunk, used = parse(buf, last, size > BLOCK_BYTES)
             if len(chunk):
+                chunk.first_id = self._reads
+                self._reads += len(chunk)
                 yield chunk
+                data, size = data[used:], BLOCK_BYTES
+            elif last:
+                return
+            else:
+                size *= 2
 
-    def _fastq_chunk(self, buf: np.ndarray, eof: bool) -> tuple[ReadBatch, int]:
-        """The FASTQ records that end in buf, read by _iter_fastq, and the bytes they take."""
+    def _fastq_chunk(self, buf: np.ndarray, eof: bool, one: bool) -> tuple[ReadBatch, int]:
+        """The FASTQ records that end in buf, read by _iter_fastq (with one,
+        only the first), and the bytes they take."""
         data = buf.tobytes()
         lines = data.split(b"\n")[:-1]  # data ends in a newline
         if b"\r" in data:
@@ -281,6 +245,8 @@ class ReadStream:
             for taken, header, seq in _iter_fastq(lines, eof, self.path, self._line_no, self._reads):
                 headers.append(header)
                 seqs.append(seq)
+                if one:
+                    break
         except _NeedMore:
             pass
         self._line_no += taken
@@ -288,15 +254,14 @@ class ReadStream:
         return ReadBatch(0, *_columns(seqs), *_columns(headers)), used
 
 
-def read_batches(reads: str | Path | list[str], batch_size: int) -> Iterator[ReadBatch]:
-    """Batches of batch_size reads (the last may be shorter) from a file or
-    a list of sequences. No reference to a batch is kept here once it is
-    yielded, so the consumer alone decides when it is freed."""
+def read_batches(reads: str | Path | list[str]) -> Iterator[ReadBatch]:
+    """The ReadStream batches of a file, or a non-empty list of sequences as
+    one batch. No reference to a batch is kept here once it is yielded, so
+    the consumer alone decides when it is freed."""
     if isinstance(reads, (str, Path)):
-        yield from ReadStream(reads, batch_size)
-    else:
-        for lo in range(0, len(reads), batch_size):
-            yield ReadBatch.from_strings(reads[lo : lo + batch_size], lo)
+        yield from ReadStream(reads)
+    elif reads:
+        yield ReadBatch.from_strings(reads)
 
 
 class BankDigest:

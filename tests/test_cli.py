@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from src_connector import counter, linker, seqio
+from src_connector import seqio
 from src_connector.bench import random_canonical_codes
 from src_connector.cli import build_parser, main
 from src_connector.kmers import canonicalize_batch
@@ -112,7 +112,7 @@ def test_link_sidecar(bank, tmp_path, monkeypatch):
     path, seqs = bank
     out = tmp_path / "out.txt"
     sidecar = tmp_path / "map.tsv"
-    monkeypatch.setattr(linker, "DEFAULT_BATCH_READS", 10)  # several batches, in order
+    monkeypatch.setattr(seqio, "BLOCK_BYTES", 512)  # several batches, in order
     code = main(
         ["link", "-b", str(path), "-q", str(path), "-t", "1", "-o", str(out),
          "--threads", "2", "--sidecar", str(sidecar)]
@@ -122,6 +122,29 @@ def test_link_sidecar(bank, tmp_path, monkeypatch):
     assert len(lines) == len(seqs)
     assert lines[0] == "0\tread0"
     assert lines == [f"{i}\tread{i}" for i in range(len(seqs))]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["index"], ["count", "--threads", "1"], ["count", "--threads", "2"]]
+    + [["link", "--mode", mode, "--threads", n] for mode in ("ram", "disk") for n in ("1", "2")],
+    ids=lambda args: "-".join(args[:1] + args[2::2]),
+)
+def test_output_does_not_depend_on_block_size(bank, tmp_path, monkeypatch, args):
+    # batches are the parser's blocks: at 512 bytes the bank and query are several each
+    path, _ = bank
+    out, sidecar = tmp_path / "out", tmp_path / "map.tsv"
+    args = args + ["-b", str(path), "-t", "1", "-o", str(out)]
+    if args[0] != "index":
+        args += ["-q", str(path)]
+    if args[0] == "link":
+        args += ["--tmp-dir", str(tmp_path), "--sidecar", str(sidecar)]
+    outputs = []
+    for block in (512, seqio.BLOCK_BYTES):
+        monkeypatch.setattr(seqio, "BLOCK_BYTES", block)
+        assert main(args) == 0
+        outputs.append((out.read_bytes(), sidecar.read_bytes() if sidecar.exists() else None))
+    assert outputs[0] == outputs[1]
 
 
 def test_link_sidecar_writes_header_bytes(tmp_path):
@@ -145,8 +168,6 @@ def _truncated_query(tmp_path, monkeypatch):
     seqs = random_reads(np.random.default_rng(2), 300, 60)
     query = tmp_path / "q.fq"
     query.write_text("".join(f"@q{i}\n{s}\n+\n{'I' * len(s)}\n" for i, s in enumerate(seqs))[:-30])
-    monkeypatch.setattr(counter, "DEFAULT_BATCH_READS", 10)
-    monkeypatch.setattr(linker, "DEFAULT_BATCH_READS", 10)
     monkeypatch.setattr(seqio, "BLOCK_BYTES", 512)
     return query
 

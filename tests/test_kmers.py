@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from src_connector import kmers, seqio
+from src_connector import seqio
 from src_connector.kmers import (
     SolidKmerSet,
     canonicalize_batch,
@@ -14,7 +14,7 @@ from src_connector.kmers import (
 )
 from src_connector.seqio import ReadBatch, SequenceFormatError
 
-from _datagen import random_reads
+from _datagen import random_reads, write_fasta
 from _oracles import canon_str, code_of, count_kmers, kmer_of, kmer_windows, revcomp_str
 
 U64 = np.uint64
@@ -145,12 +145,18 @@ def test_count_matches_naive_oracle():
 def test_spill_path_matches_in_memory(tmp_path, monkeypatch):
     rng = np.random.default_rng(8)
     seqs = random_reads(rng, 300, 100) * 2
-    in_mem = count_solid_kmers(seqs, 15, 2)
-    monkeypatch.setattr(kmers, "COUNT_CHUNK_READS", 50)
-    spilled = count_solid_kmers(seqs, 15, 2, memory_budget=4096, tmp_dir=str(tmp_path))
+    in_mem = count_solid_kmers(seqs, 15, 2)  # a list is one batch
+    bank = tmp_path / "bank.fa"
+    write_fasta(bank, seqs)
+    monkeypatch.setattr(seqio, "BLOCK_BYTES", 4096)  # about 36 reads a batch
+    spill_dir = tmp_path / "spill"
+    spill_dir.mkdir()
+    spilled = count_solid_kmers(bank, 15, 2, memory_budget=4096, tmp_dir=str(spill_dir))
     assert (in_mem.codes == spilled.codes).all()
     assert (in_mem.counts == spilled.counts).all()
     assert in_mem.n_distinct_total == spilled.n_distinct_total
+    assert in_mem.bank_digest == spilled.bank_digest
+    assert list(spill_dir.iterdir()) == []
 
 
 def test_spill_removed_when_bank_fails(tmp_path, monkeypatch):
@@ -161,7 +167,6 @@ def test_spill_removed_when_bank_fails(tmp_path, monkeypatch):
     bank.write_text(records + "@cut\nACGT\n")  # no '+' line
     spill_dir = tmp_path / "spill"
     spill_dir.mkdir()
-    monkeypatch.setattr(kmers, "COUNT_CHUNK_READS", 10)
     monkeypatch.setattr(seqio, "BLOCK_BYTES", 256)  # parse the file a few records at a time
     with pytest.raises(SequenceFormatError):
         count_solid_kmers(bank, 15, 1, memory_budget=100, tmp_dir=str(spill_dir))

@@ -6,7 +6,8 @@ import threading
 import numpy as np
 import pytest
 
-from src_connector import linker
+from src_connector import linker, seqio
+from src_connector.cli import main
 from src_connector.kmers import encode_reads
 from src_connector.linker import (
     ReadIdTable,
@@ -370,17 +371,19 @@ def test_avg_ids_per_entry():
         assert ids.get(np.array([slot])).tolist() == [0, 1]  # two identical reads each keep their id
 
 
-@pytest.mark.parametrize("batch_reads", [3, 4096])
-def test_ids_across_batches(tmp_path, monkeypatch, batch_reads):
-    # a family's reads fall into different batches at batch_reads=3
+@pytest.mark.parametrize("block_bytes", [3, 4096])
+def test_ids_across_batches(tmp_path, monkeypatch, block_bytes):
+    # each read is a batch at 3 bytes, and a family's reads fall into different ones
     rng = np.random.default_rng(8)
-    bank = planted_family_reads(rng, n_families=20, family_size=4, n_background=120)
+    seqs = planted_family_reads(rng, n_families=20, family_size=4, n_background=120)
+    bank = tmp_path / "bank.fa"
+    write_fasta(bank, seqs)
     qd = build_bank_index(bank, 31, 1, 12)[0]
-    monkeypatch.setattr(linker, "BANK_BATCH_READS", batch_reads)
+    monkeypatch.setattr(seqio, "BLOCK_BYTES", block_bytes)
     ram = ReadIdTable.build(qd, bank)
     disk = _build_disk_table(qd, bank, str(tmp_path))
     expect = [set() for _ in range(qd.n_keys)]
-    for read_id, seq in enumerate(bank):
+    for read_id, seq in enumerate(seqs):
         batch = ReadBatch.from_strings([seq])
         for slot in qd.query_batch(encode_reads(batch.seq, batch.offsets, 31)[0]).tolist():
             if slot >= 0:
@@ -395,6 +398,30 @@ def test_ids_across_batches(tmp_path, monkeypatch, batch_reads):
     finally:
         disk.close()
     assert any(len(ids) > 1 for ids in expect)
+
+
+@pytest.mark.parametrize("n_reads", [255, 256])
+def test_bank_must_fit_id_table(tmp_path, monkeypatch, capsys, n_reads):
+    # the disk table stores id+1, so a uint8 table holds ids up to 254: 255 reads
+    bank = tmp_path / "bank.fa"
+    write_fasta(bank, random_reads(np.random.default_rng(12), n_reads, 60))
+    qd = build_bank_index(bank, 31, 1, 12)[0]
+    monkeypatch.setattr(linker, "_SLOT_DTYPE", np.uint8)
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    if n_reads == 255:  # both builds succeed (the disk reader assumes 4-byte words)
+        assert ReadIdTable.build(qd, bank).ids.max() == 254
+        _build_disk_table(qd, bank, str(spill)).close()
+    else:
+        with pytest.raises(ValueError, match="more than 255 reads"):
+            ReadIdTable.build(qd, bank)
+        with pytest.raises(ValueError, match="more than 255 reads"):
+            _build_disk_table(qd, bank, str(spill))
+        args = ["link", "-b", str(bank), "-q", str(bank), "-t", "1", "--mode", "disk",
+                "--tmp-dir", str(spill), "-o", str(tmp_path / "out.txt")]
+        assert main(args) == 2
+        assert "more than 255 reads" in capsys.readouterr().err
+    assert list(spill.iterdir()) == []
 
 
 @pytest.mark.parametrize("gap_bytes, read_bytes", [(0, 64), (4096, 64), (8, 1 << 20)])

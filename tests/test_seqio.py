@@ -22,10 +22,10 @@ FASTA = ">r0 first\nACGT\nACGT\n>r1\nTTTT\n"
 FASTQ = "@r0 first\nACGTACGT\n+\nIIIIIIII\n@r1\nTTTT\n+r1\nIIII\n"
 
 
-def _reads(path, batch_size=4096):
+def _reads(path):
     """(id, sequence, header) of each read of a file, the last two as text."""
     reads = []
-    for batch in ReadStream(path, batch_size):
+    for batch in ReadStream(path):
         seqs = batch.seq.tobytes().decode("latin-1").split("\n")
         headers = batch.headers.tobytes().decode("latin-1").split("\n")
         reads += zip(range(batch.first_id, batch.first_id + len(batch)), seqs, headers)
@@ -98,13 +98,13 @@ def test_unrecognized_format(tmp_path):
     path = tmp_path / "reads.txt"
     path.write_text("ACGT\nACGT\n")
     with pytest.raises(SequenceFormatError):
-        ReadStream(path, 4096)
+        ReadStream(path)
 
 
 def test_empty_file(tmp_path):
     path = tmp_path / "empty.fa"
     path.write_text("")
-    assert list(ReadStream(path, 4096)) == []
+    assert list(ReadStream(path)) == []
 
 
 def test_fastq_at_sign_in_quality(tmp_path):
@@ -185,23 +185,30 @@ def test_ids_stable_across_passes(tmp_path):
     assert first == second
 
 
-def test_read_batches(tmp_path):
+def _check_batches(batches):
+    """Each batch's first_id is the number of reads before it, and it holds
+    at most BLOCK_BYTES of sequence and header bytes unless it is one read."""
+    sizes = [len(b) for b in batches]
+    assert [b.first_id for b in batches] == [sum(sizes[:i]) for i in range(len(sizes))]
+    for batch in batches:
+        assert len(batch) == 1 or len(batch.seq) + len(batch.headers) <= seqio.BLOCK_BYTES
+
+
+def test_read_batches(tmp_path, monkeypatch):
     path = tmp_path / "reads.fa"
     with open(path, "w") as fh:
         for i in range(10):
             fh.write(f">r{i}\nACGT\n")
-    batches = list(read_batches(path, 4))
-    assert [len(b) for b in batches] == [4, 4, 2]
+    # a 30-byte view holds 3 records of 9 bytes, and the last may go on
+    monkeypatch.setattr(seqio, "BLOCK_BYTES", 30)
+    batches = list(read_batches(path))
+    assert [len(b) for b in batches] == [2] * 5
+    _check_batches(batches)
     assert [i for b in batches for i in range(b.first_id, b.first_id + len(b))] == list(range(10))
+    (batch,) = read_batches(["ACGT"] * 10)  # a list is one batch
+    assert (batch.first_id, len(batch)) == (0, 10)
+    assert list(read_batches([])) == []
 
-
-
-@pytest.mark.parametrize("batch_size", [0, -1])
-def test_batch_size_below_one(tmp_path, batch_size):
-    path = tmp_path / "reads.fa"
-    path.write_text(FASTA)
-    with pytest.raises(ValueError, match="batch_size"):
-        ReadStream(path, batch_size)
 
 _BASES = b"ACGTacgtNn*- \r\x00\xe9"  # what a sequence line may hold, besides ACGT
 _EOL = st.sampled_from([b"\n", b"\r\n"])
@@ -250,10 +257,10 @@ def _batch_reads(batches):
 
 @given(
     fastq=st.booleans(), data=st.data(), gz=st.booleans(), cut=st.integers(0, 1 << 16),
-    block=st.sampled_from([1, 7, 64, 1 << 20]), batch_size=st.integers(1, 5),
+    block=st.sampled_from([1, 7, 64, 1 << 20]),
 )
 @settings(max_examples=300, deadline=None)
-def test_parser_matches_reference_loops(tmp_path_factory, fastq, data, gz, cut, block, batch_size):
+def test_parser_matches_reference_loops(tmp_path_factory, fastq, data, gz, cut, block):
     lines = data.draw(_fastq() if fastq else _fasta())
     text = b"".join(line + data.draw(_EOL) for line in lines)
     if fastq and cut % 4 == 0:  # now and then a file cut short
@@ -274,11 +281,10 @@ def test_parser_matches_reference_loops(tmp_path_factory, fastq, data, gz, cut, 
     batches = []
     with mock.patch.object(seqio, "BLOCK_BYTES", block):
         try:
-            for batch in ReadStream(path, batch_size):
+            for batch in ReadStream(path):
                 batches.append(batch)
         except SequenceFormatError as exc:
             assert str(exc) == expect
             return
-    assert _batch_reads(batches) == expect
-    assert [b.first_id for b in batches] == list(range(0, len(expect), batch_size))
-    assert [len(b) for b in batches[:-1]] == [batch_size] * (len(batches) - 1)
+        assert _batch_reads(batches) == expect
+        _check_batches(batches)

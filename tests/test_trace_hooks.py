@@ -17,7 +17,7 @@ import numpy as np
 
 from _datagen import random_reads, write_fasta
 from src_connector.bitpack import KEY_CHUNK
-from src_connector.counter import DEFAULT_BATCH_READS
+from src_connector.seqio import BLOCK_BYTES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,9 +44,10 @@ def test_query_path_hooks_record_spans(tmp_path):
     bank_reads = random_reads(rng, 40, 80)
     bank, query = tmp_path / "bank.fa", tmp_path / "query.fa"
     write_fasta(bank, bank_reads)
-    # one count batch whose k-mers fill more than one MPHF query block
-    read_len = 31 + 2 * KEY_CHUNK // DEFAULT_BATCH_READS
-    write_fasta(query, bank_reads + random_reads(rng, DEFAULT_BATCH_READS - 40, read_len))
+    # one count batch (the query fits one parser block) whose k-mers fill
+    # more than one MPHF query block: 73 reads of 970 k-mers
+    write_fasta(query, bank_reads + random_reads(rng, KEY_CHUNK // 900 + 1, 1000))
+    assert query.stat().st_size <= BLOCK_BYTES
     idx = tmp_path / "bank.idx"
     _traced(tmp_path / "index.json", "index", "-b", str(bank), "-t", "1", "-o", str(idx))
     names = _traced(
