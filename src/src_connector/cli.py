@@ -88,6 +88,14 @@ def _add_common(sub: argparse.ArgumentParser, default_f: int) -> None:
     sub.add_argument("-o", "--out", required=True, help="output path")
 
 
+def _add_threads(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--threads", type=_at_least_one, default=len(os.sched_getaffinity(0)),
+        help="worker processes, forked once the index is built; 1 runs in this process "
+        "(default: the CPUs this process may run on)",
+    )
+
+
 def _resolve_params(args, default_f: int) -> tuple[int, int, int]:
     k = args.k if args.k is not None else MAX_K
     if args.exact:
@@ -137,13 +145,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_count, default_f=8)
     p_count.add_argument("-q", "--query", required=True, help="query read file")
     p_count.add_argument("--index", help="prebuilt bank index (from 'src index')")
-    p_count.add_argument("--threads", type=_at_least_one, default=os.cpu_count() or 1)
+    _add_threads(p_count)
 
     p_link = subs.add_parser("link", help="report bank reads similar to each query read")
     _add_common(p_link, default_f=12)
     p_link.add_argument("-q", "--query", required=True, help="query read file")
     p_link.add_argument("--index", help="prebuilt bank index (from 'src index')")
-    p_link.add_argument("--threads", type=_at_least_one, default=os.cpu_count() or 1)
+    _add_threads(p_link)
     p_link.add_argument(
         "--min-shared", type=_at_least_one, default=DEFAULT_MIN_SHARED,
         help="report targets sharing at least this many non-overlapping k-mers",

@@ -6,6 +6,7 @@ counts of all its indexed k-mers (overlaps included) and reports their
 mean, median, min and max.
 """
 
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,6 +93,8 @@ def run_src_counter(
         )
         out.write(f"# counts saturate at {COUNT_SATURATION}\n")
         out.write("# read_id\tn_kmers\tmean\tmedian\tmin\tmax\t(*: no indexed k-mer)\n")
-        work = lambda batch: estimate_batch(qd, counts, batch)
-        for records in ordered_map(work, read_batches(query_path), threads):
-            out.write(records.format())
+        out.flush()  # before ordered_map forks its workers
+        work = lambda batch: estimate_batch(qd, counts, batch).format()
+        with closing(ordered_map(work, read_batches(query_path), threads)) as texts:
+            for text in texts:
+                out.write(text)

@@ -17,7 +17,7 @@ lets every (read, target) pair's greedy count advance together.
 import os
 import sys
 import tempfile
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -29,7 +29,7 @@ from .quasidict import QuasiDictionary
 from .seqio import BankDigest, ReadBatch, ordered_map, output_file, read_batches
 
 DEFAULT_MIN_SHARED = 2
-_SLOT_DTYPE = np.uint32  # 4-byte little-endian disk slots, which hold id+1 up to the max
+_SLOT_DTYPE = np.uint32  # read ids, and the words of disk blocks, which hold id+1 up to the max
 _GAP_BYTES = 4096  # a disk gather reads through gaps up to this size between blocks
 _READ_BYTES = 1 << 20  # and buffers the blocks of one window of this size at a time
 
@@ -132,7 +132,7 @@ class ReadIdTable(_IdTable):
 
 class DiskIdTable(_IdTable):
     """Temp-file table: per slot, a block holding each of its bank reads once,
-    ascending, as 4-byte id+1 values, then a 0 terminator.
+    ascending, as _SLOT_DTYPE id+1 words, then a 0 terminator.
 
     Keeps only one offset per slot in RAM. Owns the file: close() deletes it.
     """
@@ -140,7 +140,7 @@ class DiskIdTable(_IdTable):
     terminators = 1
 
     def __init__(self, offsets: np.ndarray, path: str):
-        self.offsets = offsets  # block starts in 4-byte words
+        self.offsets = offsets  # block starts in _SLOT_DTYPE words
         self.path = path
         self._fd = os.open(path, os.O_RDONLY)
 
@@ -159,12 +159,13 @@ class DiskIdTable(_IdTable):
         rank = np.empty(len(slots), dtype=np.int64)  # of each slot's block in uniq
         rank[order] = np.cumsum(first) - 1
         lo, n = self.blocks(uniq)
-        window = lo // (_READ_BYTES // 4)
+        word = np.dtype(_SLOT_DTYPE).itemsize
+        window = lo // (_READ_BYTES // word)
         new_window = np.ones(len(uniq), dtype=bool)
         new_window[1:] = window[1:] != window[:-1]
         end = lo + n + 1  # past the terminator
         new_run = new_window.copy()  # one pread per run of blocks
-        new_run[1:] |= 4 * (lo[1:] - end[:-1]) > _GAP_BYTES
+        new_run[1:] |= word * (lo[1:] - end[:-1]) > _GAP_BYTES
         run = np.cumsum(new_run) - 1
         run_lo = lo[new_run]
         run_len = np.maximum.reduceat(end, np.flatnonzero(new_run)) - run_lo  # end ascends
@@ -191,7 +192,8 @@ class DiskIdTable(_IdTable):
     def _pread(self, lo: int, words: int) -> bytes:
         """Words lo:lo + words of the file, in positioned reads of at most
         _READ_BYTES, so concurrent readers share no file position."""
-        start, size = 4 * int(lo), 4 * int(words)
+        word = np.dtype(_SLOT_DTYPE).itemsize
+        start, size = word * int(lo), word * int(words)
         data = b"".join(
             os.pread(self._fd, min(_READ_BYTES, size - i), start + i)
             for i in range(0, size, _READ_BYTES)
@@ -317,6 +319,13 @@ def link_batch(
     )
 
 
+def _sidecar_lines(batch: ReadBatch) -> bytes:
+    """Each read's id, a tab and its header bytes, one line per read."""
+    headers = batch.headers.tobytes().split(b"\n")
+    ids = range(batch.first_id, batch.first_id + len(batch))
+    return b"".join(map(b"%d\t%b\n".__mod__, zip(ids, headers)))
+
+
 def run_src_linker(
     qd: QuasiDictionary,
     bank_path: str | Path,
@@ -343,7 +352,10 @@ def run_src_linker(
     else:
         table = ReadIdTable.build(qd, bank_path)
     try:
-        work = lambda batch: (batch, link_batch(qd, table, batch, min_shared, no_self).format())
+        work = lambda batch: (
+            link_batch(qd, table, batch, min_shared, no_self).format(),
+            _sidecar_lines(batch) if sidecar_path else b"",
+        )
         with (
             output_file(out_path) as out,
             output_file(sidecar_path, "wb") if sidecar_path else nullcontext() as sidecar,
@@ -353,12 +365,12 @@ def run_src_linker(
                 f"seed={qd.mphf.master_seed} min_shared={min_shared} mode={mode} N={qd.n_keys}\n"
             )
             out.write("# query_id: target_id-shared_kmers ... (*: no match)\n")
-            for batch, text in ordered_map(work, read_batches(query_path), threads):
-                out.write(text)
-                if sidecar:
-                    headers = batch.headers.tobytes().split(b"\n")
-                    ids = range(batch.first_id, batch.first_id + len(batch))
-                    sidecar.write(b"".join(map(b"%d\t%b\n".__mod__, zip(ids, headers))))
+            out.flush()  # before ordered_map forks its workers
+            with closing(ordered_map(work, read_batches(query_path), threads)) as texts:
+                for text, lines in texts:
+                    out.write(text)
+                    if sidecar:
+                        sidecar.write(lines)
     finally:
         if mode == "disk":
             table.close()

@@ -1,14 +1,14 @@
 """Streaming FASTA/FASTQ reading, plain or gzipped, into batches of reads
 held as columns, with 0-based read ids; the digest that ties an index to its
-bank's reads; the ordered worker loop that both tools run their read batches
-through, and the output files they write."""
+bank's reads; the ordered map that both tools run their read batches through,
+inline or on worker processes forked once their index is built, and the
+output files they write."""
 
 import gzip
 import hashlib
 import os
 import stat
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
@@ -296,17 +296,53 @@ def output_file(path: str | Path, mode: str = "w"):
             raise
 
 
+_work: Callable | None = None  # ordered_map's fn, in each of its worker processes
+
+
+def _set_work(fn: Callable) -> None:
+    global _work
+    _work = fn
+
+
+def _apply(item):
+    return _work(item)
+
+
 def ordered_map(fn: Callable, items: Iterable, threads: int) -> Iterator:
-    """fn(item) for each item on a pool of worker threads, yielded in input order.
+    """fn(item) for each item, yielded in input order.
+
+    With threads == 1, fn runs inline in this process. Otherwise it runs on
+    that many worker processes forked when the first item is drawn, so they
+    share what fn refers to (a built index, count or id table) copy-on-write,
+    and fn may be a closure: it reaches each worker through the pool's
+    initializer, which fork does not pickle. Items and results are pickled.
+    Fork is safe here because the tools start no thread of their own, and
+    the caller flushes its output files before the first item, so no worker
+    holds a copy of unwritten bytes.
 
     At most 2 * threads items are submitted ahead of the consumer, so a long
-    input streams instead of being queued whole.
+    input streams instead of being queued whole. Closing the generator (the
+    consumer failed) or an error from items or fn cancels the pending items
+    and joins the workers before the error goes on; a worker that dies
+    raises BrokenProcessPool.
     """
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    if threads == 1:
+        yield from map(fn, items)
+        return
+    # imported here: a run without workers (src index, --threads 1) need not load multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        threads, mp_context=multiprocessing.get_context("fork"), initializer=_set_work, initargs=(fn,)
+    )
+    try:
         pending = deque()
         for item in items:
             if len(pending) >= 2 * threads:
                 yield pending.popleft().result()
-            pending.append(pool.submit(fn, item))
+            pending.append(pool.submit(_apply, item))
         while pending:
             yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import stat
 import threading
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from src_connector import seqio
+from src_connector import counter, seqio
 from src_connector.bench import random_canonical_codes
 from src_connector.cli import build_parser, main
 from src_connector.kmers import canonicalize_batch
@@ -186,6 +187,27 @@ def test_failed_run_leaves_no_output(bank, tmp_path, monkeypatch, capsys, tool):
     assert main(args) == 2
     assert _TRUNCATED in capsys.readouterr().err
     assert not out.exists() and not sidecar.exists()
+    assert not multiprocessing.active_children()
+
+
+def test_worker_death_fails_run(bank, tmp_path, monkeypatch, capsys):
+    # a worker process that dies mid-run fails the run; it does not hang it
+    path, _ = bank
+    monkeypatch.setattr(seqio, "BLOCK_BYTES", 512)
+    estimate = counter.estimate_batch
+
+    def die_after_first(qd, counts, batch):
+        if batch.first_id:
+            os._exit(1)
+        return estimate(qd, counts, batch)
+
+    monkeypatch.setattr(counter, "estimate_batch", die_after_first)
+    out = tmp_path / "out.tsv"
+    args = ["count", "-b", str(path), "-q", str(path), "-t", "1", "--threads", "2", "-o", str(out)]
+    assert main(args) == 2
+    assert "terminated abruptly" in capsys.readouterr().err
+    assert not out.exists()
+    assert not multiprocessing.active_children()
 
 
 @pytest.mark.parametrize("kind", ["symlink", "fifo"])
@@ -341,6 +363,15 @@ def test_random_canonical_codes_limit(k, n_canonical):
 def test_bench_sizes_accept_exponent_form():
     args = build_parser().parse_args(["bench", "--sizes", "1e3,20", "-o", "o"])
     assert args.sizes == [1000, 20]
+
+
+@pytest.mark.parametrize("command", ["count", "link"])
+def test_threads_default_is_usable_cpus(monkeypatch, command):
+    # the CPUs this process may run on, not the host's
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+    args = build_parser().parse_args([command, "-q", "q.fa", "-o", "o"])
+    assert args.threads == 3
 
 
 def test_usage_error_missing_bank(tmp_path, capsys):

@@ -409,9 +409,17 @@ def test_bank_must_fit_id_table(tmp_path, monkeypatch, capsys, n_reads):
     monkeypatch.setattr(linker, "_SLOT_DTYPE", np.uint8)
     spill = tmp_path / "spill"
     spill.mkdir()
-    if n_reads == 255:  # both builds succeed (the disk reader assumes 4-byte words)
-        assert ReadIdTable.build(qd, bank).ids.max() == 254
-        _build_disk_table(qd, bank, str(spill)).close()
+    if n_reads == 255:  # both builds succeed, and the disk table reads back uint8 words
+        ram = ReadIdTable.build(qd, bank)
+        assert ram.ids.max() == 254
+        disk = _build_disk_table(qd, bank, str(spill))
+        try:
+            slots = np.arange(qd.n_keys)
+            got = disk.get(slots)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, ram.get(slots))
+        finally:
+            disk.close()
     else:
         with pytest.raises(ValueError, match="more than 255 reads"):
             ReadIdTable.build(qd, bank)

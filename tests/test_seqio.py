@@ -1,6 +1,10 @@
 import gc
 import gzip
+import multiprocessing
+import os
 import warnings
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from unittest import mock
 
 import pytest
@@ -13,6 +17,7 @@ from src_connector.seqio import (
     ReadBatch,
     ReadStream,
     SequenceFormatError,
+    ordered_map,
     read_batches,
 )
 
@@ -288,3 +293,41 @@ def test_parser_matches_reference_loops(tmp_path_factory, fastq, data, gz, cut, 
             return
         assert _batch_reads(batches) == expect
         _check_batches(batches)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_ordered_map_order_and_processes(threads):
+    # fn may be a closure; one thread runs it here, more run it in forked workers
+    parent = os.getpid()
+    got = list(ordered_map(lambda x: (x, os.getpid() != parent), range(20), threads))
+    assert [x for x, _ in got] == list(range(20))
+    assert {forked for _, forked in got} == {threads > 1}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ordered_map_fn_error_reaches_caller(threads):
+    def fn(x):
+        if x == 5:
+            raise ValueError("bad item 5")
+        return x
+
+    with pytest.raises(ValueError, match="bad item 5"):
+        list(ordered_map(fn, range(20), threads))
+    assert not multiprocessing.active_children()
+
+
+def test_ordered_map_worker_death_raises():
+    def fn(x):
+        if x == 3:
+            os._exit(1)
+        return x
+
+    with pytest.raises(BrokenProcessPool):
+        list(ordered_map(fn, range(20), 2))
+    assert not multiprocessing.active_children()
+
+
+def test_ordered_map_consumer_stop_joins_workers():
+    with closing(ordered_map(lambda x: x, range(100), 2)) as results:
+        assert next(results) == 0
+    assert not multiprocessing.active_children()
