@@ -2,6 +2,14 @@
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    # No code here calls BLAS, so OpenBLAS need not start its thread pool when
+    # numpy loads; a value the user set still wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .kmers import MAX_K, SolidKmerSet, count_solid_kmers, encode_reads
 from .mphf import NOT_FOUND, Mphf
 from .quasidict import NOT_INDEXED, QuasiDictionary, build_bank_index, load_index

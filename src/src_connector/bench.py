@@ -5,13 +5,9 @@ resident set size can be read per structure from the OS. The key file is
 generated once by the parent and shared.
 """
 
-import csv
-import multiprocessing as mp
 import os
-import resource
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -80,6 +76,8 @@ def _peak_rss_bytes() -> int:
                     return int(line.split()[1]) * 1024  # kB
     except OSError:
         pass
+    import resource
+
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024  # KiB on Linux
 
 
@@ -151,7 +149,11 @@ STRUCTURES = {"quasidict": bench_quasidict_worker, "hashmap": bench_hashmap_work
 
 def run_isolated(fn, *args):
     """Run fn(*args) in a fresh spawned process, so ru_maxrss is its own."""
-    ctx = mp.get_context("spawn")
+    # imported here, as are csv and resource: cli imports this module for every command
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
         return pool.submit(fn, *args).result()
 
@@ -181,6 +183,8 @@ def run_bench(
                 row.update(stats)
                 rows.append(row)
     if out_path:
+        import csv
+
         with open(out_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
             writer.writeheader()

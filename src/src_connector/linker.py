@@ -8,10 +8,14 @@ dropped. The id table lists each slot's bank reads once, ascending, either
 in RAM (CSR layout) or in a temp file of blocks that hold each read once as
 id+1, then a 0 terminator.
 
-A query batch is scored at once: its indexed k-mers' ids come from one
-table gather (on disk, a few coalesced positioned reads of at most
-_READ_BYTES each), and one sort of packed (read, target, position) keys
-lets every (read, target) pair's greedy count advance together.
+A query batch makes one table lookup, which returns each indexed k-mer's
+run of ids (on disk, after a few coalesced positioned reads of at most
+_READ_BYTES each). The batch is then scored in ranges of reads of at most
+KEY_CHUNK (read, target, position) rows, or one read alone when it has more:
+a range's rows are gathered from the runs, packed and sorted once, and
+every (read, target) pair's greedy count advances together. The scoring
+temporaries are thus bounded by KEY_CHUNK, not by the batch's rows, which
+grow with bank coverage.
 """
 
 import os
@@ -24,6 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .bitpack import KEY_CHUNK
 from .kmers import encode_reads, sorted_keys
 from .quasidict import QuasiDictionary
 from .seqio import BankDigest, ReadBatch, ordered_map, output_file, read_batches
@@ -96,6 +101,23 @@ def _gather(values: np.ndarray, lo: np.ndarray, n: np.ndarray) -> np.ndarray:
     return values[at]
 
 
+@dataclass
+class IdRuns:
+    """The ids of a batch of slots as runs: slot i's ascending, distinct bank
+    read ids are values[lo[i]:lo[i] + n[i]]. Unpacks as (values, lo, n), and
+    its len() is the number of ids, as in _gather(*runs)."""
+
+    values: np.ndarray  # _SLOT_DTYPE
+    lo: np.ndarray  # int64
+    n: np.ndarray  # int64
+
+    def __iter__(self):
+        return iter((self.values, self.lo, self.n))
+
+    def __len__(self) -> int:
+        return int(self.n.sum())
+
+
 class _IdTable:
     """Slot s's block is words offsets[s]:offsets[s + 1] of the table: its
     ids, then `terminators` zero words."""
@@ -125,9 +147,9 @@ class ReadIdTable(_IdTable):
         del slots
         return cls(offsets, keys.astype(_SLOT_DTYPE))
 
-    def get(self, slots: np.ndarray) -> np.ndarray:
-        """Each slot's ascending, distinct bank read ids, concatenated in slots order."""
-        return _gather(self.ids, *self.blocks(slots))
+    def get(self, slots: np.ndarray) -> IdRuns:
+        """Each slot's ascending, distinct bank read ids, as runs of the table."""
+        return IdRuns(self.ids, *self.blocks(slots))
 
 
 class DiskIdTable(_IdTable):
@@ -144,8 +166,9 @@ class DiskIdTable(_IdTable):
         self.path = path
         self._fd = os.open(path, os.O_RDONLY)
 
-    def get(self, slots: np.ndarray) -> np.ndarray:
-        """Each slot's ascending, distinct bank read ids, concatenated in slots order.
+    def get(self, slots: np.ndarray) -> IdRuns:
+        """Each slot's ascending, distinct bank read ids, as runs of one
+        array that holds each distinct slot's ids once.
 
         Each distinct slot's block is read once, in file order: blocks less
         than _GAP_BYTES apart share one pread, and a buffer holds the blocks
@@ -187,7 +210,7 @@ class DiskIdTable(_IdTable):
             got = _gather(words, pos, cnt)
             ids[done : done + len(got)] = got - 1
             done += len(got)
-        return _gather(ids, (np.cumsum(n) - n)[rank], n[rank])
+        return IdRuns(ids, (np.cumsum(n) - n)[rank], n[rank])
 
     def _pread(self, lo: int, words: int) -> bytes:
         """Words lo:lo + words of the file, in positioned reads of at most
@@ -267,22 +290,27 @@ def _similarity(
     The indexed k-mers of the batch come in read order as (index in read_ids
     of their read, position in it, dictionary slot). Each expands to one row
     per bank read of its slot, packed as (read << 32 | target) << pbits |
-    position; a single sort then groups the rows by (read, target), in
-    position order. A read range is as many reads as fit those 63 bits.
+    position; a sort then groups the rows by (read, target), in position
+    order. The reads are scored in ranges of at most KEY_CHUNK rows, or of
+    one read when it alone has more, and of no more reads than fit those 63
+    bits.
     """
-    n = table.blocks(slots)[1]
-    tids = table.get(slots)
+    ids, lo, n = table.get(slots)
     row = np.zeros(len(n) + 1, dtype=np.int64)
     np.cumsum(n, out=row[1:])
+    first = np.searchsorted(reads, np.arange(len(read_ids) + 1))  # of each read's k-mers
+    read_row = row[first]
     pbits = (int(positions.max(initial=0)) + k).bit_length()
     range_reads = 1 << (31 - pbits)
     none = np.empty(0, dtype=np.int64)
     read_parts, tid_parts, count_parts = [none], [none], [none]
-    for r0 in range(0, len(read_ids), range_reads):
-        r1 = min(r0 + range_reads, len(read_ids))
-        a, b = np.searchsorted(reads, [r0, r1])
+    r0 = 0
+    while r0 < len(read_ids):
+        r1 = int(np.searchsorted(read_row, read_row[r0] + KEY_CHUNK, side="right")) - 1
+        r1 = min(max(r1, r0 + 1), r0 + range_reads, len(read_ids))
+        a, b = first[r0], first[r1]
         key = np.repeat((reads[a:b] - r0) << (32 + pbits) | positions[a:b], n[a:b])
-        high = tids[row[a] : row[b]].astype(np.int64)
+        high = _gather(ids, lo[a:b], n[a:b]).astype(np.int64)
         high <<= pbits
         key |= high
         del high
@@ -295,6 +323,7 @@ def _similarity(
         read_parts.append(read[keep] + r0)
         tid_parts.append(tid[keep])
         count_parts.append(count[keep])
+        r0 = r1
     read = np.concatenate(read_parts)  # ascending, and each read's targets too
     bounds = np.searchsorted(read, np.arange(len(read_ids) + 1))
     return MatchRecord(read_ids, bounds, np.concatenate(tid_parts), np.concatenate(count_parts))
@@ -308,7 +337,7 @@ def link_batch(
     exclude_self: bool,
 ) -> MatchRecord:
     """The matches of each read of a batch: its k-mers are encoded and looked
-    up, their bank read ids gathered and their counts scored all at once."""
+    up at once, and their counts scored in bounded ranges of reads."""
     canon, positions, ptr = encode_reads(batch.seq, batch.offsets, qd.k)
     slots = qd.query_batch(canon)
     reads = np.repeat(np.arange(len(batch)), np.diff(ptr))

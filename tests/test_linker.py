@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from src_connector import linker, seqio
+from src_connector.bitpack import KEY_CHUNK
 from src_connector.cli import main
 from src_connector.kmers import encode_reads
 from src_connector.linker import (
@@ -27,6 +28,11 @@ def _matches(rec):
     bounds = rec.bounds.tolist()
     pairs = list(zip(rec.target_id.tolist(), rec.shared.tolist()))
     return [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _ids(table, slots):
+    """The ids table.get(slots) returns as runs, concatenated in slots order."""
+    return linker._gather(*table.get(slots))
 
 
 def _link_one(qd, table, read_id, seq, min_shared=1, exclude_self=False):
@@ -54,7 +60,7 @@ def test_single_read_hand_trace():
     qd, ids = _ram_index(bank, k=3, t=1, f=6)
     assert qd.n_keys == 1  # only AAA
     slot = qd.query_batch(np.array([0], dtype=np.uint64))[0]
-    assert ids.get(np.array([slot])).tolist() == [0]  # 4 occurrences dedup to one id
+    assert _ids(ids, np.array([slot])).tolist() == [0]  # 4 occurrences dedup to one id
     matches = _link_one(qd, ids, 0, "AAAAAA")
     # positions 0 and 3 count; 1, 2 blocked by the k-wide exclusion window
     assert matches == [(0, 2)]
@@ -158,7 +164,7 @@ def test_disk_block_hand_trace(tmp_path):
         raw = np.fromfile(disk.path, dtype=np.uint32)
         # one block: read 0 once (4 occurrences) stored +1, then the 0 terminator
         assert raw.tolist() == [1, 0]
-        assert disk.get(np.array([0])).tolist() == [0]
+        assert _ids(disk, np.array([0])).tolist() == [0]
     finally:
         disk.close()
 
@@ -194,10 +200,10 @@ def test_disk_get_is_thread_safe(tmp_path):
     results = [None] * 4
 
     def lookup_all(i):
-        results[i] = [disk.get(slots).tolist() for slots in batches]
+        results[i] = [_ids(disk, slots).tolist() for slots in batches]
 
     try:
-        expect = [disk.get(slots).tolist() for slots in batches]
+        expect = [_ids(disk, slots).tolist() for slots in batches]
         workers = [threading.Thread(target=lookup_all, args=(i,)) for i in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -348,6 +354,74 @@ def test_run_linker_no_self(tmp_path):
         assert qid not in {tid for tid, _ in matches}
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_output_does_not_depend_on_key_chunk(tmp_path, monkeypatch, threads):
+    # scoring ranges of 1 row, 7 rows or KEY_CHUNK rows, in RAM or on disk;
+    # one query read alone has more rows than every bound: it shares its 100
+    # k-mers with each of 800 identical bank reads
+    rng = np.random.default_rng(14)
+    family = planted_family_reads(rng, n_families=6, family_size=3, n_background=40)
+    repeated = random_reads(rng, 1, 130)[0]
+    assert 800 * (130 - 31 + 1) > KEY_CHUNK
+    bank, query = tmp_path / "bank.fa", tmp_path / "query.fa"
+    write_fasta(bank, family + [repeated] * 800)
+    queries = family[:30] + [repeated] + random_reads(rng, 2, 100) + family[30:]
+    write_fasta(query, queries)
+    out, sidecar = tmp_path / "out.txt", tmp_path / "map.tsv"
+    outputs = []
+    for mode in ("ram", "disk"):
+        for chunk in (1, 7, KEY_CHUNK):
+            monkeypatch.setattr(linker, "KEY_CHUNK", chunk)
+            args = ["link", "-b", str(bank), "-q", str(query), "-t", "1", "--min-shared", "1",
+                    "--mode", mode, "--threads", threads, "--tmp-dir", str(tmp_path),
+                    "--sidecar", str(sidecar), "-o", str(out)]
+            assert main(args) == 0
+            header, body = out.read_bytes().split(b"\n", 1)
+            assert f"mode={mode}".encode() in header
+            outputs.append((body, sidecar.read_bytes()))
+    assert all(o == outputs[0] for o in outputs[1:])
+    expect = linker_records(family + [repeated] * 800, queries, 31, t=1, min_shared=1)
+    assert parse_linker_output(out) == expect
+    assert len(expect[30]) == 800  # the repeated read matches each of its copies
+
+
+def test_scoring_rows_are_bounded(tmp_path, monkeypatch):
+    # a 20x-coverage bank: each query read has ~1000 rows, the batch ~300 000
+    rng = np.random.default_rng(15)
+    genome = random_reads(rng, 1, 5000)[0]
+    bank = [genome[s : s + 100] for s in rng.integers(0, 4900, 1000).tolist()]
+    qd = build_bank_index(bank, 31, 1, 12)[0]
+    batch = ReadBatch.from_strings(bank[:300])
+    canon, _, ptr = encode_reads(batch.seq, batch.offsets, 31)
+    slots = qd.query_batch(canon)
+    reads = np.repeat(np.arange(len(batch)), np.diff(ptr))
+    rows_per_read = np.zeros(len(batch), dtype=np.int64)
+    sizes = []
+
+    def greedy_counts(key, pbits, k):
+        sizes.append(len(key))
+        return greedy(key, pbits, k)
+
+    greedy = linker._greedy_counts
+    monkeypatch.setattr(linker, "_greedy_counts", greedy_counts)
+    ram = ReadIdTable.build(qd, bank)
+    disk = _build_disk_table(qd, bank, str(tmp_path))
+    try:
+        hit = slots >= 0
+        np.add.at(rows_per_read, reads[hit], ram.blocks(slots[hit])[1])
+        assert rows_per_read.sum() > 4 * KEY_CHUNK
+        bound = max(KEY_CHUNK, int(rows_per_read.max()))
+        results = []
+        for table in (ram, disk):
+            sizes.clear()
+            results.append(_matches(link_batch(qd, table, batch, 2, False)))
+            assert max(sizes) <= bound
+            assert sum(sizes) == rows_per_read.sum()  # each row scored once
+        assert results[0] == results[1]
+    finally:
+        disk.close()
+
+
 def test_run_linker_thread_determinism(tmp_path):
     rng = np.random.default_rng(6)
     seqs = planted_family_reads(rng, n_families=5, family_size=3, n_background=50)
@@ -368,7 +442,7 @@ def test_run_linker_bad_mode(tmp_path):
 def test_avg_ids_per_entry():
     qd, ids = _ram_index(["AAAAAA", "AAAAAA"], k=3, t=1, f=6)
     for slot in range(qd.n_keys):
-        assert ids.get(np.array([slot])).tolist() == [0, 1]  # two identical reads each keep their id
+        assert _ids(ids, np.array([slot])).tolist() == [0, 1]  # two identical reads each keep their id
 
 
 @pytest.mark.parametrize("block_bytes", [3, 4096])
@@ -390,7 +464,7 @@ def test_ids_across_batches(tmp_path, monkeypatch, block_bytes):
                 expect[slot].add(read_id)
     try:
         for slot in range(qd.n_keys):
-            got, want = disk.get(np.array([slot])), ram.get(np.array([slot]))
+            got, want = _ids(disk, np.array([slot])), _ids(ram, np.array([slot]))
             assert got.dtype == want.dtype == np.uint32
             assert np.array_equal(got, want)
             assert (np.diff(want.astype(np.int64)) > 0).all()
@@ -415,9 +489,9 @@ def test_bank_must_fit_id_table(tmp_path, monkeypatch, capsys, n_reads):
         disk = _build_disk_table(qd, bank, str(spill))
         try:
             slots = np.arange(qd.n_keys)
-            got = disk.get(slots)
+            got = _ids(disk, slots)
             assert got.dtype == np.uint8
-            assert np.array_equal(got, ram.get(slots))
+            assert np.array_equal(got, _ids(ram, slots))
         finally:
             disk.close()
     else:
@@ -447,9 +521,11 @@ def test_batch_get_matches_per_slot(tmp_path, monkeypatch, gap_bytes, read_bytes
         slots = rng.permutation(np.concatenate([np.arange(qd.n_keys)] * 2))[: 3 * qd.n_keys // 2]
         want = np.concatenate([ram.ids[ram.offsets[s] : ram.offsets[s + 1]] for s in slots])
         for table in (ram, disk):
-            got = table.get(slots)
+            runs = table.get(slots)
+            got = linker._gather(*runs)
             assert got.dtype == np.uint32
             assert np.array_equal(got, want)
-            assert table.get(np.empty(0, dtype=np.int64)).size == 0
+            assert len(runs) == len(want)  # the tracer notes len() as the ids looked up
+            assert _ids(table, np.empty(0, dtype=np.int64)).size == 0
     finally:
         disk.close()
