@@ -63,7 +63,7 @@ def _add_common(sub: argparse.ArgumentParser, default_f: int) -> None:
     sub.add_argument("-b", "--bank", help="bank read file (FASTA/FASTQ, optionally gzipped)")
     sub.add_argument("-k", type=int, default=None, help=f"k-mer length (default {MAX_K})")
     sub.add_argument(
-        "-t", "-c", "--solidity", dest="t", type=int, default=None,
+        "-t", "-c", "--solidity", dest="t", type=_at_least_one, default=None,
         help="solidity threshold: index k-mers occurring >= t times (default 2)",
     )
     sub.add_argument(
@@ -96,19 +96,13 @@ def _add_threads(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_params(args, default_f: int) -> tuple[int, int, int]:
-    k = args.k if args.k is not None else MAX_K
-    if args.exact:
-        if args.f is not None and args.f != 2 * k:
-            raise UsageError("--exact conflicts with an explicit -f value")
-        f = 2 * k
-    else:
-        f = args.f if args.f is not None else default_f
-    t = args.t if args.t is not None else 2
-    _check_k_f(k, f)
-    if t < 1:
-        raise UsageError("t must be >= 1")
-    return k, t, f
+def _given_f(args, k: int, default: int | None = None) -> int | None:
+    """-f if given, else default; with --exact 2k, which any other -f conflicts with."""
+    if not args.exact:
+        return default if args.f is None else args.f
+    if args.f is not None and args.f != 2 * k:
+        raise UsageError("--exact conflicts with an explicit -f value")
+    return 2 * k
 
 
 def _check_k_f(k: int, f: int) -> None:
@@ -118,18 +112,13 @@ def _check_k_f(k: int, f: int) -> None:
         raise UsageError(f"f must be in [1, 2k] = [1, {2 * k}]")
 
 
-def _load_prebuilt(args, k, t, f):
+def _load_prebuilt(args):
+    """The index and its count table; each parameter given must be the index's."""
     qd, counts = load_index(args.index)
-    if args.k is not None and qd.k != k:
-        raise UsageError(f"index was built with k={qd.k}, not k={k}")
-    if args.t is not None and qd.t != t:
-        raise UsageError(f"index was built with t={qd.t}, not t={t}")
-    if (args.f is not None or args.exact) and qd.f != f:
-        raise UsageError(f"index was built with f={qd.f}, not f={f}")
-    if args.gamma is not None and qd.mphf.gamma != args.gamma:
-        raise UsageError(f"index was built with gamma={qd.mphf.gamma}, not gamma={args.gamma}")
-    if args.seed is not None and qd.mphf.master_seed != args.seed:
-        raise UsageError(f"index was built with seed={qd.mphf.master_seed}, not seed={args.seed}")
+    f = _given_f(args, args.k if args.k is not None else qd.k)
+    for name, value in dict(k=args.k, t=args.t, f=f, gamma=args.gamma, seed=args.seed).items():
+        if value is not None and value != qd.params[name]:
+            raise UsageError(f"index was built with {name}={qd.params[name]}, not {name}={value}")
     return qd, counts
 
 
@@ -180,10 +169,14 @@ def _require_bank(args):
         raise FileNotFoundError(f"bank file not found: {args.bank}")
 
 
-def _build(args, k, t, f):
+def _build(args, default_f: int):
+    """Build the bank's index from the flags, each defaulted and range-checked."""
+    k = args.k if args.k is not None else MAX_K
+    f = _given_f(args, k, default_f)
+    _check_k_f(k, f)
     _require_bank(args)
     return build_bank_index(
-        args.bank, k, t, f,
+        args.bank, k, 2 if args.t is None else args.t, f,
         gamma=DEFAULT_GAMMA if args.gamma is None else args.gamma,
         master_seed=DEFAULT_MASTER_SEED if args.seed is None else args.seed,
         memory_budget=args.memory_budget, tmp_dir=args.tmp_dir,
@@ -191,22 +184,20 @@ def _build(args, k, t, f):
 
 
 def cmd_index(args) -> int:
-    k, t, f = _resolve_params(args, default_f=12)
-    qd, solid = _build(args, k, t, f)
+    qd, solid = _build(args, default_f=12)
     qd.save(args.out, build_count_table(qd, solid.codes, solid.counts))
     return EXIT_OK
 
 
 def cmd_count(args) -> int:
-    k, t, f = _resolve_params(args, default_f=8)
     if args.index:
         if args.bank:
             raise UsageError("count --index reads no bank; drop -b (the index holds the bank's counts)")
-        qd, counts = _load_prebuilt(args, k, t, f)
+        qd, counts = _load_prebuilt(args)
         if counts is None:
             raise ValueError(f"{args.index}: index carries no count table")
     else:
-        qd, solid = _build(args, k, t, f)
+        qd, solid = _build(args, default_f=8)
         counts = build_count_table(qd, solid.codes, solid.counts)
         del solid
     run_src_counter(qd, counts, args.query, args.out, threads=args.threads)
@@ -214,12 +205,13 @@ def cmd_count(args) -> int:
 
 
 def cmd_link(args) -> int:
-    k, t, f = _resolve_params(args, default_f=12)
-    if args.index:
-        qd = _load_prebuilt(args, k, t, f)[0]
-    else:
-        qd = _build(args, k, t, f)[0]  # the solid set is dropped before the id table is built
     _require_bank(args)  # the id table is always rebuilt from the bank reads
+    if args.index:
+        qd = _load_prebuilt(args)[0]
+    elif not Path(args.bank).is_file():  # a pipe cannot be read twice
+        raise ValueError(f"{args.bank}: link without --index reads the bank twice, so it must be a regular file")
+    else:
+        qd = _build(args, default_f=12)[0]  # the solid set is dropped before the id table is built
     run_src_linker(
         qd, args.bank, args.query, args.out,
         min_shared=args.min_shared, mode=args.mode, threads=args.threads,

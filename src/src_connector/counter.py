@@ -1,9 +1,9 @@
 """Per-read abundance estimation against an indexed bank (the count tool).
 
 The bank's solid k-mers are indexed in a quasi-dictionary and an 8-bit
-saturating count table keyed by dictionary slot. A query read collects the
-counts of all its indexed k-mers (overlaps included) and reports their
-mean, median, min and max.
+saturating count table keyed by dictionary slot. Each query read, looked up
+with its batch (QuasiDictionary.lookup), collects the counts of all its
+indexed k-mers (overlaps included) and reports their mean, median, min and max.
 """
 
 from contextlib import closing
@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .bitpack import KEY_CHUNK
-from .kmers import encode_reads
 from .quasidict import QuasiDictionary
 from .seqio import ReadBatch, ordered_map, output_file, read_batches
 
@@ -58,12 +57,9 @@ def estimate_batch(qd: QuasiDictionary, counts: np.ndarray, batch: ReadBatch) ->
     run's start, start + n // 2 and end. Sums are exact (bincount), so
     sum / n is the float64 mean a per-read hits.mean() gives.
     """
-    canon, _, ptr = encode_reads(batch.seq, batch.offsets, qd.k)
-    idx = qd.query_batch(canon)
-    hit = idx >= 0
+    read, _, slot = qd.lookup(batch)
     n_reads = len(batch)
-    read = np.repeat(np.arange(n_reads, dtype=np.int64), np.diff(ptr))[hit]
-    cv = counts[idx[hit]]
+    cv = counts[slot]
     n = np.bincount(read, minlength=n_reads)
     sums = np.bincount(read, weights=cv, minlength=n_reads)
     srt = np.sort((read << 8) | cv) & 0xFF
@@ -87,10 +83,8 @@ def run_src_counter(
     """Stream query reads and write one abundance row per read, in order.
     The output file is deleted if the run fails."""
     with output_file(out_path) as out:
-        out.write(
-            f"# src count k={qd.k} t={qd.t} f={qd.f} gamma={qd.mphf.gamma} "
-            f"seed={qd.mphf.master_seed} N={qd.n_keys}\n"
-        )
+        params = " ".join(map("%s=%s".__mod__, qd.params.items()))
+        out.write(f"# src count {params} N={qd.n_keys}\n")
         out.write(f"# counts saturate at {COUNT_SATURATION}\n")
         out.write("# read_id\tn_kmers\tmean\tmedian\tmin\tmax\t(*: no indexed k-mer)\n")
         out.flush()  # before ordered_map forks its workers

@@ -8,8 +8,9 @@ dropped. The id table lists each slot's bank reads once, ascending, either
 in RAM (CSR layout) or in a temp file of blocks that hold each read once as
 id+1, then a 0 terminator.
 
-A query batch makes one table lookup, which returns each indexed k-mer's
-run of ids (on disk, after a few coalesced positioned reads of at most
+A batch's indexed k-mers, bank or query, come from one QuasiDictionary.lookup.
+A query batch makes one table lookup, which returns each indexed k-mer's run
+of ids (on disk, after a few coalesced positioned reads of at most
 _READ_BYTES each). The batch is then scored in ranges of reads of at most
 KEY_CHUNK (read, target, position) rows, or one read alone when it has more:
 a range's rows are gathered from the runs, packed and sorted once, and
@@ -29,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from .bitpack import KEY_CHUNK
-from .kmers import encode_reads, sorted_keys
+from .kmers import sorted_keys
 from .quasidict import QuasiDictionary
 from .seqio import BankDigest, ReadBatch, ordered_map, output_file, read_batches
 
@@ -74,12 +75,8 @@ def _bank_pairs(qd: QuasiDictionary, bank) -> Iterator[np.ndarray]:
         if batch.first_id + len(batch) > most:
             raise ValueError(f"bank has more than {most} reads, the most the id table holds")
         digest.update(batch.seq)
-        canon, _, ptr = encode_reads(batch.seq, batch.offsets, qd.k)
-        idx = qd.query_batch(canon)
-        pos = np.repeat(np.arange(len(batch), dtype=np.int64), np.diff(ptr))
-        rids = np.arange(batch.first_id, batch.first_id + len(batch), dtype=_SLOT_DTYPE)
-        hit = idx >= 0
-        key = np.sort((idx[hit].astype(np.uint64) << np.uint64(32)) | rids[pos[hit]])
+        read, _, slot = qd.lookup(batch)
+        key = np.sort((slot.view(np.uint64) << np.uint64(32)) | (batch.first_id + read).view(np.uint64))
         yield key[np.diff(key, prepend=~key[:1]) != 0]  # the first key of each run
     if digest.digest() != qd.bank_digest:
         raise ValueError("bank reads differ from those the index was built from")
@@ -336,16 +333,10 @@ def link_batch(
     min_shared: int,
     exclude_self: bool,
 ) -> MatchRecord:
-    """The matches of each read of a batch: its k-mers are encoded and looked
-    up at once, and their counts scored in bounded ranges of reads."""
-    canon, positions, ptr = encode_reads(batch.seq, batch.offsets, qd.k)
-    slots = qd.query_batch(canon)
-    reads = np.repeat(np.arange(len(batch)), np.diff(ptr))
-    hit = slots >= 0
+    """The matches of each read of a batch: its k-mers are looked up at once,
+    and their counts scored in bounded ranges of reads."""
     read_ids = np.arange(batch.first_id, batch.first_id + len(batch), dtype=np.int64)
-    return _similarity(
-        qd.k, table, read_ids, reads[hit], positions[hit], slots[hit], min_shared, exclude_self
-    )
+    return _similarity(qd.k, table, read_ids, *qd.lookup(batch), min_shared, exclude_self)
 
 
 def _sidecar_lines(batch: ReadBatch) -> bytes:
@@ -389,10 +380,8 @@ def run_src_linker(
             output_file(out_path) as out,
             output_file(sidecar_path, "wb") if sidecar_path else nullcontext() as sidecar,
         ):
-            out.write(
-                f"# src link k={qd.k} t={qd.t} f={qd.f} gamma={qd.mphf.gamma} "
-                f"seed={qd.mphf.master_seed} min_shared={min_shared} mode={mode} N={qd.n_keys}\n"
-            )
+            params = " ".join(map("%s=%s".__mod__, qd.params.items()))
+            out.write(f"# src link {params} min_shared={min_shared} mode={mode} N={qd.n_keys}\n")
             out.write("# query_id: target_id-shared_kmers ... (*: no match)\n")
             out.flush()  # before ordered_map forks its workers
             with closing(ordered_map(work, read_batches(query_path), threads)) as texts:

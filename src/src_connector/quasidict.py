@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .bitpack import KEY_CHUNK, WORD_BITS, PackedArray
-from .kmers import DEFAULT_MEMORY_BUDGET, MAX_K, SolidKmerSet, count_solid_kmers
+from .kmers import DEFAULT_MEMORY_BUDGET, MAX_K, SolidKmerSet, count_solid_kmers, encode_reads
 from .mphf import DEFAULT_GAMMA, DEFAULT_MASTER_SEED, Mphf
+from .seqio import ReadBatch
 
 U64 = np.uint64
 
@@ -103,6 +104,20 @@ class QuasiDictionary:
             stored ^= self._fingerprints_of(np.take(codes[lo : lo + KEY_CHUNK], found))
             block[found[stored != 0]] = NOT_INDEXED
         return idx
+
+    def lookup(self, batch: ReadBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(read, position, slot), all int64, of each indexed k-mer of batch in
+        read order: the read's index in the batch, the k-mer's position in it, its slot."""
+        canon, positions, ptr = encode_reads(batch.seq, batch.offsets, self.k)
+        slots = self.query_batch(canon)
+        hit = np.flatnonzero(slots >= 0)
+        n_hits = np.diff(np.searchsorted(hit, ptr))  # per read: no per-k-mer read array is made
+        return np.repeat(np.arange(len(batch), dtype=np.int64), n_hits), positions[hit], slots[hit]
+
+    @property
+    def params(self) -> dict:
+        """The build parameters, in the order the output headers give them."""
+        return dict(k=self.k, t=self.t, f=self.f, gamma=self.mphf.gamma, seed=self.mphf.master_seed)
 
     @property
     def payload_bits(self) -> int:

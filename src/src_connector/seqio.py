@@ -167,6 +167,17 @@ def _iter_fastq(lines: list[bytes], eof: bool, path: str, line_no: int, next_id:
         next_id += 1
 
 
+class _Unread:
+    """The reader fh with head, the bytes read from it so far, put back."""
+
+    def __init__(self, head: bytes, fh):
+        self.head, self.fh = head, fh
+
+    def read(self, n: int) -> bytes:
+        head, self.head = self.head[:n], self.head[n:]
+        return head + self.fh.read(n - len(head))
+
+
 class ReadStream:
     """Single-consumer iterator of ReadBatches, one per parsing step (see
     _chunks), so a batch holds at most BLOCK_BYTES of the file or a single
@@ -176,25 +187,23 @@ class ReadStream:
 
     def __init__(self, path: str | Path):
         self.path = str(path)
-        # gzip.open owns the file it opens, so closing the reader closes the file
-        with open(path, "rb") as raw:
-            opener = gzip.open if raw.read(2) == GZIP_MAGIC else open
-        self._fh = opener(path, "rb")
-        first = self._fh.read(1)
-        while first in (b"\n", b"\r"):  # blank lines before the first record
-            first = self._fh.read(1)
-        if first == b">":
-            self.format = "fasta"
-        elif first == b"@":
-            self.format = "fastq"
-        elif first == b"":
-            self.format = "empty"
-        else:
-            self._fh.close()
-            raise SequenceFormatError(
-                f"{self.path}: unrecognized format (expected '>' or '@', got {first!r})"
-            )
-        self._fh.seek(0)
+        self._raw = open(path, "rb")  # read once, never rewound, so a pipe reads as a file does
+        try:
+            self._fh = _Unread(self._raw.read(2), self._raw)
+            if self._fh.head == GZIP_MAGIC:
+                self._fh = gzip.GzipFile(fileobj=self._fh)
+            self._head = b""  # read ahead to find the format, so parsed first
+            while not self._head.strip(b"\r\n") and (byte := self._fh.read(1)):
+                self._head += byte  # blank lines before the first record
+            first = self._head.strip(b"\r\n")
+            self.format = {b">": "fasta", b"@": "fastq", b"": "empty"}.get(first)
+            if self.format is None:
+                raise SequenceFormatError(
+                    f"{self.path}: unrecognized format (expected '>' or '@', got {first!r})"
+                )
+        except BaseException:
+            self._raw.close()
+            raise
         self._line_no = 0  # lines of the file parsed so far
         self._reads = 0  # and reads
 
@@ -202,7 +211,7 @@ class ReadStream:
         try:
             yield from self._chunks()
         finally:
-            self._fh.close()
+            self._raw.close()  # a GzipFile holds no file of its own
 
     def _chunks(self) -> Iterator[ReadBatch]:
         """The records that end in each step's view: the next BLOCK_BYTES of
@@ -210,7 +219,7 @@ class ReadStream:
         view longer than BLOCK_BYTES gives only its first record, so a
         record longer than BLOCK_BYTES costs linear time and is a batch alone."""
         parse = _fasta_chunk if self.format == "fasta" else self._fastq_chunk
-        data, size, eof = b"", BLOCK_BYTES, False
+        data, size, eof = self._head, BLOCK_BYTES, False
         while True:
             if len(data) < size and not eof:
                 want = size - len(data)

@@ -1,7 +1,11 @@
+import gzip
 import multiprocessing
 import os
 import stat
+import subprocess
+import sys
 import threading
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +23,9 @@ from _oracles import (
     parse_counter_output,
     parse_linker_output,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -432,8 +439,13 @@ def test_header_reports_loaded_index_params(bank, tmp_path):
     out = tmp_path / "out.tsv"
     assert main(["count", "--index", str(idx), "-q", str(path), "-o", str(out)]) == 0
     header = out.read_text().splitlines()[0]
-    assert "k=31 t=1 f=12" in header
-    assert "gamma=3.0 seed=7" in header
+    assert header.startswith("# src count k=31 t=1 f=12 gamma=3.0 seed=7 N=")
+    assert main(
+        ["link", "--index", str(idx), "-b", str(path), "-q", str(path), "--mode", "disk",
+         "-o", str(out)]
+    ) == 0
+    header = out.read_text().splitlines()[0]
+    assert header.startswith("# src link k=31 t=1 f=12 gamma=3.0 seed=7 min_shared=2 mode=disk N=")
 
 
 def test_runtime_error_index_trailing_bytes(bank, tmp_path, capsys):
@@ -490,6 +502,80 @@ def test_usage_error_exact_conflicts_with_f(bank, tmp_path):
          "-o", str(tmp_path / "o")]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("tool", ["count", "link"])
+def test_exact_against_index(bank, tmp_path, capsys, tool):
+    # --exact means f = 2k for the index's k unless -k is given
+    path, _ = bank
+    exact, inexact = tmp_path / "k21.idx", tmp_path / "f12.idx"
+    for idx, flags in ((exact, ["--exact"]), (inexact, [])):
+        assert main(["index", "-b", str(path), "-k", "21", "-t", "1", *flags, "-o", str(idx)]) == 0
+    inputs = ["-q", str(path), "-o", str(tmp_path / "o")] + (["-b", str(path)] if tool == "link" else [])
+    for flags in (["--exact"], ["-k", "21", "--exact"], ["--exact", "-f", "42"]):
+        assert main([tool, "--index", str(exact), *inputs, *flags]) == 0, flags
+    assert main([tool, "--index", str(exact), *inputs, "--exact", "-f", "8"]) == 1
+    assert "--exact conflicts with an explicit -f value" in capsys.readouterr().err
+    assert main([tool, "--index", str(inexact), *inputs, "--exact"]) == 1
+    assert "index was built with f=12, not f=42" in capsys.readouterr().err
+
+
+def _src(*args):
+    """Run the CLI in a child process, which a run blocked on a pipe cannot outlive."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "src_connector.cli", *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+@contextmanager
+def _fifo(path, data: bytes):
+    """path as a FIFO that a thread fills with data once a reader opens it."""
+    os.mkfifo(path)
+
+    def write():
+        with suppress(BrokenPipeError), open(path, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        yield path
+    finally:
+        os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))  # frees a writer never read from
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("gz", [False, True])
+def test_pipe_inputs_read_as_files(bank, tmp_path, gz):
+    path, _ = bank
+    data = path.read_bytes() * 40  # past the pipe's buffer and seqio.BLOCK_BYTES
+    data = gzip.compress(data) if gz else data
+    reads = tmp_path / ("reads.fa.gz" if gz else "reads.fa")
+    reads.write_bytes(data)
+    for name, command in (
+        ("index", ["index", "-t", "1", "-b"]),
+        ("count", ["count", "-t", "1", "-b", str(path), "-q"]),
+    ):
+        file_out, pipe_out = tmp_path / f"{name}.file", tmp_path / f"{name}.pipe"
+        assert main([*command, str(reads), "-o", str(file_out)]) == 0
+        with _fifo(tmp_path / f"{name}.fifo", data) as fifo:
+            proc = _src(*command, fifo, "-o", pipe_out)
+        assert proc.returncode == 0, proc.stderr
+        assert pipe_out.read_bytes() == file_out.read_bytes()
+
+
+def test_one_shot_link_needs_a_regular_bank(bank, tmp_path):
+    path, _ = bank
+    out = tmp_path / "o"
+    with _fifo(tmp_path / "bank.fifo", path.read_bytes()) as fifo:
+        proc = _src("link", "-b", fifo, "-q", path, "-t", "1", "-o", out)
+    assert proc.returncode == 2
+    assert "must be a regular file" in proc.stderr
+    assert not out.exists()
 
 
 def test_runtime_error_bad_input_file(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from src_connector import mphf as mphf_module
 from src_connector import quasidict as quasidict_module
 from src_connector.bitpack import PackedArray
-from src_connector.kmers import SolidKmerSet, canonicalize_batch
+from src_connector.kmers import SolidKmerSet, canonicalize_batch, count_solid_kmers, encode_reads
 from src_connector.mphf import Mphf
 from src_connector.quasidict import (
     NOT_INDEXED,
@@ -17,7 +17,9 @@ from src_connector.quasidict import (
     fingerprint_batch,
     load_index,
 )
+from src_connector.seqio import ReadBatch
 
+from _datagen import random_reads
 from _oracles import code_of, dictionary_slots, level_walk
 
 
@@ -120,6 +122,45 @@ def _reference_slots(qd, probe):
         [level_walk(levels, m.fallback, key) for key in keys],
         dictionary_slots(levels, m.fallback, qd.fingerprints.words.tolist(), qd.f, qd.exact, keys),
     )
+
+
+def _lookup_loop(qd, seqs):
+    """(read, position, slot) rows of each indexed k-mer, one read at a time."""
+    rows = []
+    for read, seq in enumerate(seqs):
+        one = ReadBatch.from_strings([seq])
+        canon, positions, _ = encode_reads(one.seq, one.offsets, qd.k)
+        slots = qd.query_batch(canon)
+        rows += [(read, p, s) for p, s in zip(positions.tolist(), slots.tolist()) if s >= 0]
+    return rows
+
+
+@pytest.mark.parametrize("f", [4, 22])  # 22 = 2k: exact, so no alien hits
+def test_lookup_matches_per_read_loop(f):
+    k = 11
+    rng = np.random.default_rng(5)
+    bank = random_reads(rng, 20, 60) + ["A" * 30]
+    qd = QuasiDictionary.create(count_solid_kmers(bank, k, 1), f)
+    aliens = random_reads(rng, 4, 50)
+    mixed = [
+        bank[0], "ACGTACG", "", bank[1][:25] + "NNxN" + bank[1][25:].lower(), aliens[0],
+        "A" * 40, bank[2] + bank[2], bank[3][:k],
+    ]
+    for seqs in (mixed, [], aliens, ["ACG", ""]):
+        got = qd.lookup(ReadBatch.from_strings(seqs, first_id=7))
+        assert [col.dtype for col in got] == [np.int64] * 3
+        assert list(zip(*(col.tolist() for col in got))) == _lookup_loop(qd, seqs)
+    read, position, slot = qd.lookup(ReadBatch.from_strings(mixed))
+    assert np.all(np.diff(read) >= 0)
+    assert set(read.tolist()) - {4} == {0, 3, 5, 6, 7}  # the short reads miss; the alien may not
+    assert np.count_nonzero(read == 5) == 30 and len(set(slot[read == 5].tolist())) == 1
+    if qd.exact:
+        assert len(qd.lookup(ReadBatch.from_strings(aliens))[0]) == 0
+
+
+def test_params_in_header_order():
+    qd = QuasiDictionary.create(_random_solid(50, k=21), 9, gamma=3.0, master_seed=7)
+    assert list(qd.params.items()) == [("k", 21), ("t", 1), ("f", 9), ("gamma", 3.0), ("seed", 7)]
 
 
 # f=62 at k=31 and f=10 at k=5 are exact mode; at 12 and 61 fields straddle

@@ -55,7 +55,7 @@ def test_query_path_hooks_record_spans(tmp_path):
         "--threads", "1", "-o", str(tmp_path / "out.tsv"),
     )
     for name in (
-        "bitpack.rank1", "mphf.query", "quasidict.query", "bitpack.get_many",
+        "kmers.encode", "bitpack.rank1", "mphf.query", "quasidict.query", "bitpack.get_many",
         "counter.estimate", "counter.format", "seqio.parse",
     ):
         assert name in names, f"{name} recorded no span"
@@ -72,5 +72,5 @@ def test_link_hooks_record_spans(tmp_path):
             "-t", "1", "--mode", mode, "--threads", "1", "--tmp-dir", str(tmp_path),
             "-o", str(tmp_path / f"{mode}.txt"),
         )
-        for name in ("linker.similarity", get, "linker.format", "seqio.parse"):
+        for name in ("kmers.encode", "linker.similarity", get, "linker.format", "seqio.parse"):
             assert name in names, f"{name} recorded no span in link --mode {mode}"
