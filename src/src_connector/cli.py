@@ -60,6 +60,7 @@ _sizes = _arg_type(
 
 
 def _add_common(sub: argparse.ArgumentParser, default_f: int) -> None:
+    sub.set_defaults(default_f=default_f)  # the -f that _build uses, and --help gives
     sub.add_argument("-b", "--bank", help="bank read file (FASTA/FASTQ, optionally gzipped)")
     sub.add_argument("-k", type=int, default=None, help=f"k-mer length (default {MAX_K})")
     sub.add_argument(
@@ -169,10 +170,10 @@ def _require_bank(args):
         raise FileNotFoundError(f"bank file not found: {args.bank}")
 
 
-def _build(args, default_f: int):
+def _build(args):
     """Build the bank's index from the flags, each defaulted and range-checked."""
     k = args.k if args.k is not None else MAX_K
-    f = _given_f(args, k, default_f)
+    f = _given_f(args, k, args.default_f)
     _check_k_f(k, f)
     _require_bank(args)
     return build_bank_index(
@@ -184,7 +185,7 @@ def _build(args, default_f: int):
 
 
 def cmd_index(args) -> int:
-    qd, solid = _build(args, default_f=12)
+    qd, solid = _build(args)
     qd.save(args.out, build_count_table(qd, solid.codes, solid.counts))
     return EXIT_OK
 
@@ -197,7 +198,7 @@ def cmd_count(args) -> int:
         if counts is None:
             raise ValueError(f"{args.index}: index carries no count table")
     else:
-        qd, solid = _build(args, default_f=8)
+        qd, solid = _build(args)
         counts = build_count_table(qd, solid.codes, solid.counts)
         del solid
     run_src_counter(qd, counts, args.query, args.out, threads=args.threads)
@@ -211,7 +212,7 @@ def cmd_link(args) -> int:
     elif not Path(args.bank).is_file():  # a pipe cannot be read twice
         raise ValueError(f"{args.bank}: link without --index reads the bank twice, so it must be a regular file")
     else:
-        qd = _build(args, default_f=12)[0]  # the solid set is dropped before the id table is built
+        qd = _build(args)[0]  # the solid set is dropped before the id table is built
     run_src_linker(
         qd, args.bank, args.query, args.out,
         min_shared=args.min_shared, mode=args.mode, threads=args.threads,

@@ -90,6 +90,12 @@ def _sorted_pairs(
     return sorted_keys(_bank_pairs(qd, bank), 32 + slot_bits, memory_budget, tmp_dir)
 
 
+def _slot_starts(keys: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Where each slot lo .. hi-1 starts in ascending pair keys: the number
+    of keys below slot << 32."""
+    return np.searchsorted(keys, np.arange(lo, hi, dtype=np.uint64) << np.uint64(32))
+
+
 def _gather(values: np.ndarray, lo: np.ndarray, n: np.ndarray) -> np.ndarray:
     """values[lo[0]:lo[0] + n[0]], values[lo[1]:lo[1] + n[1]], ... concatenated."""
     start = np.cumsum(n) - n  # of each run in the result
@@ -138,11 +144,7 @@ class ReadIdTable(_IdTable):
     @classmethod
     def build(cls, qd: QuasiDictionary, bank) -> "ReadIdTable":
         (keys,) = _sorted_pairs(qd, bank, sys.maxsize)  # one in-memory run
-        offsets = np.zeros(qd.n_keys + 1, dtype=np.int64)
-        slots = (keys >> np.uint64(32)).view(np.int64)
-        np.cumsum(np.bincount(slots, minlength=qd.n_keys), out=offsets[1:])
-        del slots
-        return cls(offsets, keys.astype(_SLOT_DTYPE))
+        return cls(_slot_starts(keys, 0, qd.n_keys + 1), keys.astype(_SLOT_DTYPE))
 
     def get(self, slots: np.ndarray) -> IdRuns:
         """Each slot's ascending, distinct bank read ids, as runs of the table."""
@@ -171,13 +173,7 @@ class DiskIdTable(_IdTable):
         than _GAP_BYTES apart share one pread, and a buffer holds the blocks
         that start in one _READ_BYTES window of the file.
         """
-        order = np.argsort(slots)
-        ranked = slots[order]
-        first = np.ones(len(ranked), dtype=bool)
-        first[1:] = ranked[1:] != ranked[:-1]
-        uniq = ranked[first]
-        rank = np.empty(len(slots), dtype=np.int64)  # of each slot's block in uniq
-        rank[order] = np.cumsum(first) - 1
+        uniq, rank = np.unique(slots, return_inverse=True)  # rank: of each slot's block in uniq
         lo, n = self.blocks(uniq)
         word = np.dtype(_SLOT_DTYPE).itemsize
         window = lo // (_READ_BYTES // word)
@@ -238,13 +234,10 @@ def _build_disk_table(qd: QuasiDictionary, bank, tmp_dir: str | None = None) -> 
             for keys in _sorted_pairs(qd, bank, 0, tmp_dir):
                 if not len(keys):
                     continue
-                slots = (keys >> np.uint64(32)).view(np.int64)
-                last = int(slots[-1])
-                occ[open_slot : last + 1] += np.bincount(slots - open_slot)
-                # one terminator for each slot the range closes, zero-filled
-                run = np.zeros(len(keys) + last - open_slot, dtype=_SLOT_DTYPE)
-                run[np.arange(len(keys)) + slots - open_slot] = keys.astype(_SLOT_DTYPE) + 1
-                out.write(run)
+                last = int(keys[-1] >> np.uint64(32))
+                ends = _slot_starts(keys, open_slot + 1, last + 1)  # of the blocks the part closes
+                occ[open_slot : last + 1] += np.diff(ends, prepend=0, append=len(keys))
+                out.write(np.insert(keys.astype(_SLOT_DTYPE) + 1, ends, 0))  # each closed with a 0
                 open_slot = last
             out.write(np.zeros(qd.n_keys - open_slot, dtype=_SLOT_DTYPE))
     except BaseException:

@@ -4,8 +4,6 @@ memory is measured in spawned subprocesses."""
 
 import os
 import time
-from multiprocessing import get_context
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,6 +13,7 @@ from src_connector.bench import (
     bench_quasidict_worker,
     make_disjoint_sets,
     random_canonical_codes,
+    run_isolated,
 )
 from src_connector.cli import main
 from src_connector.kmers import SolidKmerSet, encode_reads
@@ -55,11 +54,6 @@ def _count(bank, query, t, f, out):
 
 def _link(bank, query, t, f, out, **kwargs):
     run_src_linker(build_bank_index(bank, K, t, f)[0], bank, query, out, **kwargs)
-
-
-def _run_spawned(fn, *args):
-    with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn")) as pool:
-        return pool.submit(fn, *args).result()
 
 
 def _data_lines(path) -> list[str]:
@@ -147,8 +141,8 @@ def test_criterion_04_memory_budget(tmp_path):
     aliens.tofile(aliens_path)
     del keys, aliens
 
-    qd_stats = _run_spawned(bench_quasidict_worker, keys_path, aliens_path, K, 12, 2.0, 1337)
-    hm_stats = _run_spawned(bench_hashmap_worker, keys_path, aliens_path, K, 12, 2.0, 1337)
+    qd_stats = run_isolated(bench_quasidict_worker, keys_path, aliens_path, K, 12, 2.0, 1337)
+    hm_stats = run_isolated(bench_hashmap_worker, keys_path, aliens_path, K, 12, 2.0, 1337)
 
     bits_per_elem = qd_stats["bits_per_key"]
     payload_ok = qd_stats["payload_bits"] == n * 12
@@ -248,10 +242,10 @@ def test_criterion_08_ram_disk_equivalence(linker_instance, tmp_path):
     query = tmp_path / "query.fa"
     write_fasta(query, big[:2000])
     del big
-    ram_peak = _run_spawned(
+    ram_peak = run_isolated(
         linker_peak_worker, str(big_bank), str(query), "ram", str(tmp_path / "big_ram.txt")
     )
-    disk_peak = _run_spawned(
+    disk_peak = run_isolated(
         linker_peak_worker, str(big_bank), str(query), "disk", str(tmp_path / "big_disk.txt")
     )
     os.unlink(big_bank)

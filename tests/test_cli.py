@@ -448,6 +448,23 @@ def test_header_reports_loaded_index_params(bank, tmp_path):
     assert header.startswith("# src link k=31 t=1 f=12 gamma=3.0 seed=7 min_shared=2 mode=disk N=")
 
 
+def test_default_f_per_command(bank, tmp_path, capsys):
+    # a built index's f shows in the header of a count over it
+    path, _ = bank
+    idx, out = tmp_path / "bank.idx", tmp_path / "out.txt"
+    assert main(["index", "-b", str(path), "-t", "1", "-o", str(idx)]) == 0
+    runs = {
+        "index": ["count", "--index", str(idx)],
+        "count": ["count", "-b", str(path), "-t", "1"],
+        "link": ["link", "-b", str(path), "-t", "1"],
+    }
+    for command, f in [("index", 12), ("count", 8), ("link", 12)]:
+        assert main(runs[command] + ["-q", str(path), "-o", str(out)]) == 0
+        assert f" f={f} " in out.read_text().splitlines()[0]
+        assert main([command, "--help"]) == 0
+        assert f"fingerprint bits (default {f};" in " ".join(capsys.readouterr().out.split())
+
+
 def test_runtime_error_index_trailing_bytes(bank, tmp_path, capsys):
     path, _ = bank
     idx = tmp_path / "bank.idx"

@@ -19,7 +19,7 @@ from src_connector.linker import (
 from src_connector.quasidict import build_bank_index
 from src_connector.seqio import ReadBatch
 
-from _datagen import planted_family_reads, random_reads, write_fasta
+from _datagen import planted_family_reads, pool_sampled_reads, random_reads, write_fasta
 from _oracles import linker_records, parse_linker_output
 
 
@@ -472,6 +472,36 @@ def test_ids_across_batches(tmp_path, monkeypatch, block_bytes):
     finally:
         disk.close()
     assert any(len(ids) > 1 for ids in expect)
+
+
+@pytest.mark.parametrize("cuts", [1, 3, 17])
+def test_disk_table_parts_split_inside_a_slot(tmp_path, monkeypatch, cuts):
+    # a spill splits a slot's reads across parts only past 2^26 read ids, so
+    # cut the sorted pair keys by hand: half the cuts inside the fullest slot,
+    # so that some parts lie wholly in it, the rest in other slots, and add an
+    # empty part; the file must be the unsplit build's
+    rng = np.random.default_rng(14)
+    bank = pool_sampled_reads(rng, pool_size=50, n_reads=300, length=60)
+    qd = build_bank_index(bank, 31, 1, 12)[0]
+    (keys,) = linker._sorted_pairs(qd, bank, sys.maxsize)
+    slot = keys >> np.uint64(32)
+    inside = np.flatnonzero(slot[1:] == slot[:-1]) + 1  # a cut there splits a slot
+    values, counts = np.unique(slot, return_counts=True)
+    in_fullest = inside[slot[inside] == values[counts.argmax()]]
+    others = rng.choice(np.setdiff1d(inside, in_fullest), cuts - cuts // 2, replace=False)
+    parts = np.split(keys, np.union1d(in_fullest[: cuts // 2], others))
+    parts.insert(1, keys[:0])
+    whole = _build_disk_table(qd, bank, str(tmp_path))
+    monkeypatch.setattr(linker, "_sorted_pairs", lambda *args: iter(parts))
+    split = _build_disk_table(qd, bank, str(tmp_path))
+    try:
+        assert len(parts) == cuts + 2
+        with open(whole.path, "rb") as a, open(split.path, "rb") as b:
+            assert a.read() == b.read()
+        assert np.array_equal(split.offsets, whole.offsets)
+    finally:
+        whole.close()
+        split.close()
 
 
 @pytest.mark.parametrize("n_reads", [255, 256])
