@@ -89,9 +89,15 @@ def _add_common(sub: argparse.ArgumentParser, default_f: int) -> None:
     sub.add_argument("-o", "--out", required=True, help="output path")
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # macOS and Windows have no affinity call
+
+
 def _add_threads(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--threads", type=_at_least_one, default=len(os.sched_getaffinity(0)),
+        "--threads", type=_at_least_one, default=_usable_cpus(),
         help="worker processes, forked once the index is built; 1 runs in this process "
         "(default: the CPUs this process may run on)",
     )
@@ -161,6 +167,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=_seed, default=DEFAULT_MASTER_SEED)
     p_bench.add_argument("-o", "--out", required=True, help="CSV report path")
     return parser
+
+
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one is not there yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_outputs(args) -> None:
+    """Refuse an output (-o, --sidecar) that names one of the run's input
+    files or the other output: opening it would destroy that file. An output
+    that exists and is not a regular file, such as /dev/null, is let be."""
+    named = [
+        (flag, getattr(args, dest, None))
+        for flag, dest in (("-b", "bank"), ("-q", "query"), ("--index", "index"), ("-o", "out"))
+    ]
+    for flag, path in [("-o", args.out), ("--sidecar", getattr(args, "sidecar", None))]:
+        if not path or (os.path.exists(path) and not os.path.isfile(path)):
+            continue
+        for other_flag, other in named:
+            if other and other_flag != flag and _same_file(path, other):
+                raise ValueError(
+                    f"{flag} {path} is the same file as {other_flag} {other}; refusing to overwrite it"
+                )
 
 
 def _require_bank(args):
@@ -245,6 +276,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_outputs(args)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"src: {exc}", file=sys.stderr)

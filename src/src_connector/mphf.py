@@ -3,7 +3,8 @@
 Construction cascades bit levels: at each level every remaining key hashes to
 a slot; slots hit exactly once are marked occupied and their key is settled,
 slots hit more than once are marked collided and their keys move down a level.
-Survivors after MAX_LEVELS levels land in a small exact fallback map.
+Survivors after MAX_LEVELS levels land in a small exact fallback: their
+keys, ascending, looked up by binary search.
 
 A query walks the levels: occupied slot -> rank gives the index, collided
 slot -> try the next level, empty slot -> NOT_FOUND. Keys outside the build
@@ -23,7 +24,7 @@ U64 = np.uint64
 NOT_FOUND = -1
 DEFAULT_GAMMA = 2.0
 DEFAULT_MASTER_SEED = 1337
-MAX_LEVELS = 32  # levels before the remaining keys go to the fallback map
+MAX_LEVELS = 32  # levels before the remaining keys go to the fallback
 
 _MIX_C1 = 0xFF51AFD7ED558CCD
 _MIX_C2 = 0xC4CEB9FE1A85EC53
@@ -88,9 +89,10 @@ class Mphf:
         fallback_keys: np.ndarray,
     ):
         """level_bits holds each level's (size, occupied, collided), fallback_keys
-        the keys no level settled, in index order. The rest is derived here for
-        built and loaded MPHFs alike: level seeds, index offsets (keys settled
-        by earlier levels), rank directories and n_keys."""
+        the keys no level settled, ascending: key j has index
+        n_keys - len(fallback) + j. The rest is derived here for built and
+        loaded MPHFs alike: level seeds, index offsets (keys settled by earlier
+        levels), rank directories and n_keys."""
         self.gamma = gamma
         self.master_seed = master_seed
         self.levels: list[_Level] = []
@@ -101,9 +103,8 @@ class Mphf:
                        build_rank_blocks(occupied), offset)
             )
             offset += int(popcount(occupied).sum())
-        # insertion order is index order, which is the order the keys are saved in
-        self.fallback = {key: offset + j for j, key in enumerate(fallback_keys.tolist())}
-        self.n_keys = offset + len(self.fallback)
+        self.fallback = fallback_keys
+        self.n_keys = offset + len(fallback_keys)
 
     @classmethod
     def build(
@@ -115,12 +116,8 @@ class Mphf:
         if not (math.isfinite(gamma) and gamma > 1.0):
             raise ValueError(f"gamma must be a finite number > 1, got {gamma}")
         keys = np.asarray(keys, dtype=U64)
-        if len(keys) > 1:
-            # callers usually pass ascending codes; avoid the sort copy then
-            srt = keys if (keys[1:] >= keys[:-1]).all() else np.sort(keys)
-            if (srt[1:] == srt[:-1]).any():
-                raise MphfError("duplicate keys in MPHF construction set")
-            del srt
+        if (keys[1:] <= keys[:-1]).any():
+            raise MphfError("MPHF keys must be strictly ascending (sorted, no duplicates)")
 
         level_bits = []
         remaining = keys
@@ -188,10 +185,10 @@ class Mphf:
             cont = np.flatnonzero(collided != 0)
             keys = np.take(keys, cont)
             at = cont if at is None else np.take(at, cont)
-        if self.fallback and len(keys):
-            where = np.arange(len(keys)) if at is None else at
-            for i, key in zip(where.tolist(), keys.tolist()):
-                res[i] = self.fallback.get(key, NOT_FOUND)
+        if len(self.fallback):
+            j = np.searchsorted(self.fallback, keys)
+            hit = np.flatnonzero(np.take(self.fallback, j, mode="clip") == keys)
+            res[hit if at is None else np.take(at, hit)] = self.n_keys - len(self.fallback) + j[hit]
 
     def size_bits(self) -> int:
-        return sum(level.bits() for level in self.levels) + 128 * len(self.fallback)
+        return sum(level.bits() for level in self.levels) + 64 * len(self.fallback)

@@ -128,7 +128,7 @@ class QuasiDictionary:
 
     def save(self, path: str | Path, counts: np.ndarray | None = None) -> None:
         """Write the index file: the _HEADER fields; per MPHF level its size
-        and its occupied and collided words; the fallback keys in index order;
+        and its occupied and collided words; the fallback keys, ascending;
         the fingerprint words; the count table when given. Every section
         length follows from the header and the level sizes."""
         if counts is not None and (len(counts) != self.n_keys or counts.dtype != np.uint8):
@@ -142,8 +142,7 @@ class QuasiDictionary:
         sections = []
         for level in mphf.levels:
             sections += [_LEVEL_SIZE.pack(level.size), level.occupied, level.collided]
-        sections.append(np.fromiter(mphf.fallback, dtype=U64, count=len(mphf.fallback)))
-        sections.append(self.fingerprints.words)
+        sections += [mphf.fallback, self.fingerprints.words]
         if counts is not None:
             sections.append(counts)
         checksum = hashlib.blake2b(head, digest_size=16)
@@ -221,9 +220,11 @@ def load_index(path: str | Path) -> tuple[QuasiDictionary, np.ndarray | None]:
         raise IndexFormatError(f"corrupt index file: {len(data) - end} bytes after the last section")
 
     words = partial(np.frombuffer, data, U64)  # words(count, offset)
+    fallback = words(n_fallback, off)
+    if (fallback[1:] <= fallback[:-1]).any():
+        raise IndexFormatError("corrupt index file: MPHF fallback keys are not strictly ascending")
     mphf = Mphf(
-        gamma, seed, [(size, words(n, at), words(n, at + 8 * n)) for size, at, n in levels],
-        words(n_fallback, off),
+        gamma, seed, [(size, words(n, at), words(n, at + 8 * n)) for size, at, n in levels], fallback
     )
     if mphf.n_keys != n_keys:
         raise IndexFormatError(f"corrupt index file: {n_keys} keys in the header, {mphf.n_keys} in the MPHF")

@@ -381,6 +381,52 @@ def test_threads_default_is_usable_cpus(monkeypatch, command):
     assert args.threads == 3
 
 
+def test_threads_default_without_affinity(monkeypatch, capsys):
+    # macOS and Windows have no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert build_parser().parse_args(["count", "-q", "q.fa", "-o", "o"]).threads == 6
+    assert main(["--version"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "args, flag, other",
+    [
+        pytest.param(["count", "-b", "{bank}", "-q", "{q}", "-o", "{q}"], "-o", "-q", id="count-query"),
+        pytest.param(["index", "-b", "{bank}", "-o", "{bank}"], "-o", "-b", id="index-bank"),
+        pytest.param(
+            ["count", "--index", "{idx}", "-q", "{q}", "-o", "{idx}"], "-o", "--index", id="count-index"
+        ),
+        pytest.param(
+            ["link", "-b", "{bank}", "-q", "{q}", "--sidecar", "{q}", "-o", "{out}"],
+            "--sidecar", "-q", id="link-sidecar-query",
+        ),
+        pytest.param(["link", "-b", "{bank}", "-q", "{q}", "-o", "{bank}"], "-o", "-b", id="link-bank"),
+        pytest.param(
+            ["link", "-b", "{bank}", "-q", "{q}", "--sidecar", "{out}", "-o", "{out}"],
+            "--sidecar", "-o", id="sidecar-is-output",
+        ),
+    ],
+)
+def test_output_is_an_input(bank, tmp_path, capsys, args, flag, other):
+    path, seqs = bank
+    files = {"bank": path, "q": tmp_path / "q.fa", "idx": tmp_path / "b.idx", "out": tmp_path / "out.txt"}
+    write_fasta(files["q"], seqs[:5])
+    assert main(["index", "-b", str(path), "-t", "1", "-o", str(files["idx"])]) == 0
+    before = {name: file.read_bytes() for name, file in files.items() if file.exists()}
+    capsys.readouterr()
+    assert main([arg.format(**files) for arg in args]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {flag} " in err and f" is the same file as {other} " in err
+    assert {name: file.read_bytes() for name, file in files.items() if file.exists()} == before
+
+
+def test_non_regular_output_may_be_an_input(bank):
+    path, _ = bank
+    assert main(["count", "-b", str(path), "-t", "1", "-q", os.devnull, "-o", os.devnull]) == 0
+
+
 def test_usage_error_missing_bank(tmp_path, capsys):
     code = main(["count", "-q", "whatever.fa", "-o", str(tmp_path / "o")])
     assert code == 1

@@ -52,6 +52,11 @@ def test_duplicate_keys_rejected():
         Mphf.build(np.array([7, 7, 8], dtype=np.uint64))
 
 
+def test_unsorted_keys_rejected():
+    with pytest.raises(MphfError, match="ascending"):
+        Mphf.build(np.array([3, 1, 2], dtype=np.uint64))
+
+
 def test_alien_rejection_over_half_at_gamma2():
     keys, aliens = _disjoint(100_000, 100_000, seed=3)
     m = Mphf.build(keys, gamma=2.0)
@@ -81,7 +86,7 @@ def test_build_deterministic():
     for la, lb in zip(a.levels, b.levels):
         assert (la.size, la.seed, la.index_offset) == (lb.size, lb.seed, lb.index_offset)
         assert (la.occupied == lb.occupied).all() and (la.collided == lb.collided).all()
-    assert list(a.fallback.items()) == list(b.fallback.items())
+    assert np.array_equal(a.fallback, b.fallback)
 
 
 def test_gamma_validation():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from src_connector import cli
 from src_connector import mphf as mphf_module
 from src_connector import quasidict as quasidict_module
 from src_connector.bitpack import PackedArray
@@ -117,10 +118,12 @@ def _reference_slots(qd, probe):
     """(MPHF index, dictionary slot) of each probe by the oracles' plain walk."""
     m = qd.mphf
     levels = [(lv.size, lv.seed, lv.occupied.tolist(), lv.collided.tolist()) for lv in m.levels]
+    first = m.n_keys - len(m.fallback)  # fallback key j has index first + j
+    fallback = {key: first + j for j, key in enumerate(m.fallback.tolist())}
     keys = probe.tolist()
     return (
-        [level_walk(levels, m.fallback, key) for key in keys],
-        dictionary_slots(levels, m.fallback, qd.fingerprints.words.tolist(), qd.f, qd.exact, keys),
+        [level_walk(levels, fallback, key) for key in keys],
+        dictionary_slots(levels, fallback, qd.fingerprints.words.tolist(), qd.f, qd.exact, keys),
     )
 
 
@@ -251,8 +254,27 @@ def test_save_load_fallback_keys(tmp_path, monkeypatch):
     path = tmp_path / "index.bin"
     qd.save(path)
     qd2, _ = load_index(path)
-    assert qd2.mphf.fallback == qd.mphf.fallback
+    assert np.array_equal(qd2.mphf.fallback, qd.mphf.fallback)
     assert sorted(qd2.query_batch(solid.codes).tolist()) == list(range(solid.n))
+
+
+def test_load_rejects_unsorted_fallback(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(mphf_module, "MAX_LEVELS", 2)
+    qd = QuasiDictionary.create(_random_solid(3000, seed=11), 12)
+    fallback = qd.mphf.fallback
+    assert len(fallback) >= 2
+    path = tmp_path / "index.bin"
+    qd.save(path, np.ones(qd.n_keys, dtype=np.uint8))
+    data = bytearray(path.read_bytes())
+    at = data.index(fallback.tobytes())  # the fallback section, written as is
+    data[at : at + 16] = fallback[1::-1].tobytes()  # swap its first two words
+    path.write_bytes(bytes(data))
+    with pytest.raises(IndexFormatError, match="ascending"):
+        load_index(path)
+    query = tmp_path / "q.fa"
+    query.write_text(">r\nACGT\n")
+    assert cli.main(["count", "--index", str(path), "-q", str(query), "-o", str(tmp_path / "o")]) == 2
+    assert "ascending" in capsys.readouterr().err
 
 
 def test_save_load_without_counts(tmp_path):
