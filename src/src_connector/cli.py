@@ -69,7 +69,7 @@ def _add_common(sub: argparse.ArgumentParser, default_f: int) -> None:
     )
     sub.add_argument(
         "-f", type=int, default=None,
-        help=f"fingerprint bits (default {default_f}; <= 2k)",
+        help=f"fingerprint bits (default {default_f}; at most 2k, which caps the default too)",
     )
     sub.add_argument(
         "--exact", action="store_true", help="set f=2k: no false positives"
@@ -204,7 +204,7 @@ def _require_bank(args):
 def _build(args):
     """Build the bank's index from the flags, each defaulted and range-checked."""
     k = args.k if args.k is not None else MAX_K
-    f = _given_f(args, k, args.default_f)
+    f = _given_f(args, k, min(args.default_f, 2 * k))  # an explicit -f is not capped
     _check_k_f(k, f)
     _require_bank(args)
     return build_bank_index(

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .bitpack import KEY_CHUNK
 from .seqio import BankDigest, ReadBatch, read_batches
 
 U64 = np.uint64
@@ -123,16 +124,33 @@ class SolidKmerSet:
         return len(self.codes)
 
 
-def _run_lengths(sorted_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if len(sorted_codes) == 0:
-        return sorted_codes, np.empty(0, dtype=np.uint64)
-    change = np.empty(len(sorted_codes), dtype=bool)
-    change[0] = True
-    np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
-    uniq = sorted_codes[starts]
-    counts = np.diff(np.append(starts, len(sorted_codes))).astype(np.uint64)
-    return uniq, counts
+def _solid_runs(part: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The codes occurring >= t times in the ascending array part, their
+    counts, and the number of distinct codes in part.
+
+    part is walked in KEY_CHUNK slices. A slice's run starts come from
+    comparing neighbours, its first code with the one before the slice. A
+    run's count is the distance to the next start; the slice's last run may
+    go on past the slice, so its end is found by one searchsorted. So no
+    temporary is as long as part or as its distinct codes: each is bounded
+    by one slice or by the solid output.
+    """
+    codes, counts = [np.empty(0, dtype=U64)], [np.empty(0, dtype=U64)]
+    n_distinct = 0
+    for lo in range(0, len(part), KEY_CHUNK):
+        block = part[lo : lo + KEY_CHUNK]
+        first = np.empty(len(block) + 1, dtype=bool)  # first-of-run flags and an end mark
+        first[0] = lo == 0 or block[0] != part[lo - 1]
+        np.not_equal(block[1:], block[:-1], out=first[1:-1])
+        first[-1] = True
+        bounds = np.flatnonzero(first)
+        bounds[-1] = np.searchsorted(part, block[-1], side="right") - lo
+        n_distinct += len(bounds) - 1
+        lengths = np.diff(bounds)
+        solid = np.flatnonzero(lengths >= t)
+        codes.append(block[bounds[solid]])
+        counts.append(lengths[solid].astype(U64))
+    return np.concatenate(codes), np.concatenate(counts), n_distinct
 
 
 class _Spill:
@@ -213,11 +231,15 @@ def count_solid_kmers(
     """Exact canonical k-mer counting over a read set, keeping counts >= t.
 
     Codes are sorted by sorted_keys, which spills them to temp files under
-    tmp_dir once they pass memory_budget bytes. Reads are encoded one
-    read_batches batch at a time (a list is one batch), so for a file the
-    encoder's temporaries, about 52 bytes per base at k = 1 and 40 at k = 31
-    (100 bp reads, tracemalloc), stay near 52 * seqio.BLOCK_BYTES unless a
-    single read is longer.
+    tmp_dir once they pass memory_budget bytes. So the build holds 8 bytes
+    per buffered k-mer occurrence, up to memory_budget (or one spilled
+    partition), plus per-slice temporaries: _solid_runs selects the solid
+    codes KEY_CHUNK occurrences at a time, and only the solid codes and
+    counts, 16 bytes each, are kept. Reads are encoded one read_batches
+    batch at a time (a list is one batch), so for a file the encoder's
+    temporaries, about 52 bytes per base at k = 1 and 40 at k = 31 (100 bp
+    reads, tracemalloc), stay near 52 * seqio.BLOCK_BYTES unless a single
+    read is longer.
     """
     _check_k(k)
     if t < 1:
@@ -229,15 +251,13 @@ def count_solid_kmers(
         digest.update(batch.seq)
         return encode_reads(batch.seq, batch.offsets, k)[0]
 
-    solid_codes = [np.empty(0, dtype=U64)]
-    solid_counts = [np.empty(0, dtype=np.uint64)]
+    solid_codes, solid_counts = [np.empty(0, dtype=U64)], [np.empty(0, dtype=U64)]
     n_distinct = 0
     for part in sorted_keys(map(codes, read_batches(reads)), 2 * k, memory_budget, tmp_dir):
-        uniq, counts = _run_lengths(part)
-        n_distinct += len(uniq)
-        keep = counts >= np.uint64(t)
-        solid_codes.append(uniq[keep])
-        solid_counts.append(counts[keep])
+        part_codes, part_counts, part_distinct = _solid_runs(part, t)
+        solid_codes.append(part_codes)
+        solid_counts.append(part_counts)
+        n_distinct += part_distinct
 
     return SolidKmerSet(
         k=k,

@@ -511,6 +511,25 @@ def test_default_f_per_command(bank, tmp_path, capsys):
         assert f"fingerprint bits (default {f};" in " ".join(capsys.readouterr().out.split())
 
 
+def test_default_f_capped_at_2k(bank, tmp_path, capsys):
+    # the default f (12 or 8) drops to 2k at small k; an explicit -f above 2k is still refused
+    path, _ = bank
+    idx, out = tmp_path / "bank.idx", tmp_path / "out.txt"
+    assert main(["index", "-b", str(path), "-k", "5", "-t", "1", "-o", str(idx)]) == 0
+    runs = [
+        (["count", "--index", str(idx)], 10),
+        (["link", "-b", str(path), "-k", "5", "-t", "1"], 10),
+        (["count", "-b", str(path), "-k", "3", "-t", "1"], 6),
+    ]
+    for run, f in runs:
+        assert main(run + ["-q", str(path), "-o", str(out)]) == 0
+        assert f" f={f} " in out.read_text().splitlines()[0]
+    for command in ("index", "count", "link"):
+        args = [command, "-b", str(path), "-k", "5", "-f", "12", "-o", str(out)]
+        assert main(args + ([] if command == "index" else ["-q", str(path)])) == 1
+        assert "f must be in [1, 2k] = [1, 10]" in capsys.readouterr().err
+
+
 def test_runtime_error_index_trailing_bytes(bank, tmp_path, capsys):
     path, _ = bank
     idx = tmp_path / "bank.idx"

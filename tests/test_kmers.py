@@ -1,18 +1,23 @@
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from src_connector import seqio
+from src_connector import kmers, seqio
 from src_connector.kmers import (
     SolidKmerSet,
+    _solid_runs,
     canonicalize_batch,
     count_solid_kmers,
     encode_reads,
     reverse_complement_batch,
     sorted_keys,
 )
-from src_connector.seqio import ReadBatch, SequenceFormatError
+from src_connector.seqio import BankDigest, ReadBatch, SequenceFormatError
 
 from _datagen import random_reads, write_fasta
 from _oracles import canon_str, code_of, count_kmers, kmer_of, kmer_windows, revcomp_str
@@ -156,6 +161,82 @@ def test_spill_path_matches_in_memory(tmp_path, monkeypatch):
     assert (in_mem.counts == spilled.counts).all()
     assert in_mem.n_distinct_total == spilled.n_distinct_total
     assert in_mem.bank_digest == spilled.bank_digest
+    assert list(spill_dir.iterdir()) == []
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8), t=st.integers(1, 6),
+    n_pool=st.integers(1, 6), n_reads=st.integers(1, 60),
+    chunk=st.sampled_from([1, 2, 3, 5]), spilled=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_count_solid_matches_unique_oracle(seed, k, t, n_pool, n_reads, chunk, spilled):
+    # heavy repeats: the reads are drawn from a pool of a few short reads,
+    # with an N now and then; KEY_CHUNK of a few codes makes runs cross slice
+    # edges, and spilled parts are often shorter than t
+    rng = np.random.default_rng(seed)
+    pool = [
+        "".join(rng.choice(list("ACGTN"), size=rng.integers(1, 16), p=[0.24] * 4 + [0.04]))
+        for _ in range(n_pool)
+    ]
+    seqs = [pool[i] for i in rng.integers(0, n_pool, n_reads)]
+    uniq, counts = np.unique(_encode(seqs, k)[0], return_counts=True)
+    keep = counts >= t
+    digest = BankDigest()
+    digest.update(ReadBatch.from_strings(seqs).seq)
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kmers, "KEY_CHUNK", chunk)
+        if spilled:
+            bank, spill_dir = Path(tmp) / "bank.fa", Path(tmp) / "spill"
+            write_fasta(bank, seqs)
+            spill_dir.mkdir()
+            mp.setattr(seqio, "BLOCK_BYTES", 64)
+            solid = count_solid_kmers(bank, k, t, memory_budget=16, tmp_dir=str(spill_dir))
+            assert list(spill_dir.iterdir()) == []
+        else:
+            solid = count_solid_kmers(seqs, k, t)
+    assert solid.codes.dtype == solid.counts.dtype == U64
+    assert solid.codes.tolist() == uniq[keep].tolist()
+    assert solid.counts.tolist() == counts[keep].tolist()
+    assert solid.n_distinct_total == len(uniq)
+    assert solid.bank_digest == digest.digest()
+
+
+@pytest.mark.parametrize("t", [1, 2, 256, 257])
+def test_solid_runs_memory_is_per_slice(t):
+    # 2^22 sorted codes, 2^14 distinct values of 256 copies each: a pass over
+    # the whole part needs a 1-byte flag per code alone, the slices far less
+    part = np.repeat(np.arange(1 << 14, dtype=U64) * U64(3), 256)
+    tracemalloc.start()
+    try:
+        codes, counts, n_distinct = _solid_runs(part, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(part)
+    assert n_distinct == 1 << 14
+    assert codes.tolist() == ([] if t > 256 else (np.arange(1 << 14) * 3).tolist())
+    assert (counts == 256).all()
+
+
+def test_spill_removed_when_selection_fails(tmp_path, monkeypatch):
+    # the solid selection raises on the second spilled partition
+    bank = tmp_path / "bank.fa"
+    write_fasta(bank, random_reads(np.random.default_rng(12), 60, 50))
+    spill_dir = tmp_path / "spill"
+    spill_dir.mkdir()
+    parts = []
+
+    def failing(part, t):
+        parts.append(part)
+        if len(parts) == 2:
+            raise RuntimeError("selection failed")
+        return _solid_runs(part, t)
+
+    monkeypatch.setattr(kmers, "_solid_runs", failing)
+    with pytest.raises(RuntimeError, match="selection failed"):
+        count_solid_kmers(bank, 15, 1, memory_budget=100, tmp_dir=str(spill_dir))
     assert list(spill_dir.iterdir()) == []
 
 
