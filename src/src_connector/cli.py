@@ -3,6 +3,7 @@
 import argparse
 import math
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from .kmers import DEFAULT_MEMORY_BUDGET, MAX_K
 from .linker import DEFAULT_MIN_SHARED, run_src_linker
 from .mphf import DEFAULT_GAMMA, DEFAULT_MASTER_SEED
 from .quasidict import build_bank_index, load_index
+from .seqio import STOP_SIGNALS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -272,8 +274,20 @@ _COMMANDS = {
 }
 
 
+def _stop(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    """Run one command and return its exit code. A SIGTERM or SIGHUP raises
+    SystemExit(128 + signum) while it runs, so the run unwinds and cleans up
+    temp files, partial outputs and workers; a signal the caller ignores (a
+    run under nohup) stays ignored. The caller's handlers are restored
+    before main returns. Call it from the main thread."""
     parser = build_parser()
+    previous = {
+        sig: signal.signal(sig, _stop) for sig in STOP_SIGNALS if signal.getsignal(sig) is not signal.SIG_IGN
+    }
     try:
         args = parser.parse_args(argv)
         _check_outputs(args)
@@ -281,11 +295,14 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"src: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SystemExit as exc:  # --help / --version
+    except SystemExit as exc:  # --help / --version, or a stop signal
         return exc.code or EXIT_OK
     except Exception as exc:
         print(f"src: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
 
 
 if __name__ == "__main__":

@@ -4,9 +4,8 @@ Each dictionary slot maps to the bank reads containing a k-mer with that
 slot. A query read is scanned left to right; a shared k-mer at position i
 counts for a target only if i is past the target's next free position,
 which then advances by k. Targets below the --min-shared threshold are
-dropped. The id table lists each slot's bank reads once, ascending, either
-in RAM (CSR layout) or in a temp file of blocks that hold each read once as
-id+1, then a 0 terminator.
+dropped. The id table lists each slot's bank reads once, ascending, in one
+CSR layout of ids and slot offsets, with the ids kept in RAM or in a temp file.
 
 A batch's indexed k-mers, bank or query, come from one QuasiDictionary.lookup.
 A query batch makes one table lookup, which returns each indexed k-mer's run
@@ -35,7 +34,7 @@ from .quasidict import QuasiDictionary
 from .seqio import BankDigest, ReadBatch, ordered_map, output_file, read_batches
 
 DEFAULT_MIN_SHARED = 2
-_SLOT_DTYPE = np.uint32  # read ids, and the words of disk blocks, which hold id+1 up to the max
+_SLOT_DTYPE = np.uint32  # read ids, in RAM and in the disk table's words
 _GAP_BYTES = 4096  # a disk gather reads through gaps up to this size between blocks
 _READ_BYTES = 1 << 20  # and buffers the blocks of one window of this size at a time
 
@@ -66,11 +65,11 @@ def _bank_pairs(qd: QuasiDictionary, bank) -> Iterator[np.ndarray]:
     slot << 32 | read id, which sort by slot, then by read id.
 
     A read lies in one batch, so no pair repeats across batches. Raises
-    ValueError at a read id that _SLOT_DTYPE cannot hold as id+1, and, once
-    the whole bank is read, if its reads are not the ones qd was built from.
+    ValueError at a read id that _SLOT_DTYPE cannot hold, and, once the whole
+    bank is read, if its reads are not the ones qd was built from.
     """
     digest = BankDigest()
-    most = np.iinfo(_SLOT_DTYPE).max
+    most = int(np.iinfo(_SLOT_DTYPE).max) + 1
     for batch in read_batches(bank):
         if batch.first_id + len(batch) > most:
             raise ValueError(f"bank has more than {most} reads, the most the id table holds")
@@ -93,7 +92,25 @@ def _sorted_pairs(
 def _slot_starts(keys: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Where each slot lo .. hi-1 starts in ascending pair keys: the number
     of keys below slot << 32."""
-    return np.searchsorted(keys, np.arange(lo, hi, dtype=np.uint64) << np.uint64(32))
+    bounds = np.arange(lo, hi, dtype=np.uint64)
+    bounds <<= np.uint64(32)  # in place: one temporary, not two, beside the keys
+    return np.searchsorted(keys, bounds)
+
+
+def _write_ids(qd: QuasiDictionary, bank, memory_budget: int, tmp_dir: str | None, write) -> np.ndarray:
+    """Pass each ascending part of the bank's pair keys to write as _SLOT_DTYPE
+    ids, and return each slot's offset in the parts laid end to end."""
+    offsets = np.zeros(qd.n_keys + 1, dtype=np.int64)  # slot s's count over all parts at s + 1
+    for keys in _sorted_pairs(qd, bank, memory_budget, tmp_dir):
+        if len(keys):
+            lo, hi = int(keys[0] >> np.uint64(32)), int(keys[-1] >> np.uint64(32)) + 1
+            starts = _slot_starts(keys, lo, hi + 1)  # of slots lo .. hi, the last at len(keys)
+            offsets[lo + 1 : hi + 1] += starts[1:]
+            offsets[lo + 1 : hi + 1] -= starts[:-1]
+            del starts  # before the part's ids are made, so they are not held together
+        write(keys.astype(_SLOT_DTYPE))
+    np.cumsum(offsets, out=offsets)
+    return offsets
 
 
 def _gather(values: np.ndarray, lo: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -122,16 +139,14 @@ class IdRuns:
 
 
 class _IdTable:
-    """Slot s's block is words offsets[s]:offsets[s + 1] of the table: its
-    ids, then `terminators` zero words."""
+    """Slot s's block, its ids, is words offsets[s]:offsets[s + 1] of the table."""
 
     offsets: np.ndarray  # int64, n_slots + 1
-    terminators = 0
 
     def blocks(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Block start and id count of each slot."""
         lo = self.offsets[slots]
-        return lo, self.offsets[slots + 1] - lo - self.terminators
+        return lo, self.offsets[slots + 1] - lo
 
 
 class ReadIdTable(_IdTable):
@@ -143,8 +158,8 @@ class ReadIdTable(_IdTable):
 
     @classmethod
     def build(cls, qd: QuasiDictionary, bank) -> "ReadIdTable":
-        (keys,) = _sorted_pairs(qd, bank, sys.maxsize)  # one in-memory run
-        return cls(_slot_starts(keys, 0, qd.n_keys + 1), keys.astype(_SLOT_DTYPE))
+        parts = []  # filled with the one in-memory part before it is unpacked
+        return cls(_write_ids(qd, bank, sys.maxsize, None, parts.append), *parts)
 
     def get(self, slots: np.ndarray) -> IdRuns:
         """Each slot's ascending, distinct bank read ids, as runs of the table."""
@@ -152,13 +167,11 @@ class ReadIdTable(_IdTable):
 
 
 class DiskIdTable(_IdTable):
-    """Temp-file table: per slot, a block holding each of its bank reads once,
-    ascending, as _SLOT_DTYPE id+1 words, then a 0 terminator.
+    """Temp-file table: the words of ReadIdTable's ids, so slot s's ascending,
+    distinct bank read ids are _SLOT_DTYPE words offsets[s]:offsets[s + 1].
 
     Keeps only one offset per slot in RAM. Owns the file: close() deletes it.
     """
-
-    terminators = 1
 
     def __init__(self, offsets: np.ndarray, path: str):
         self.offsets = offsets  # block starts in _SLOT_DTYPE words
@@ -173,13 +186,16 @@ class DiskIdTable(_IdTable):
         than _GAP_BYTES apart share one pread, and a buffer holds the blocks
         that start in one _READ_BYTES window of the file.
         """
+        word = np.dtype(_SLOT_DTYPE).itemsize
+        want = word * int(self.offsets[-1])
+        if (size := os.fstat(self._fd).st_size) != want:
+            raise IOError(f"{self.path}: id table file is {size} bytes, not the {want} of its offsets")
         uniq, rank = np.unique(slots, return_inverse=True)  # rank: of each slot's block in uniq
         lo, n = self.blocks(uniq)
-        word = np.dtype(_SLOT_DTYPE).itemsize
         window = lo // (_READ_BYTES // word)
         new_window = np.ones(len(uniq), dtype=bool)
         new_window[1:] = window[1:] != window[:-1]
-        end = lo + n + 1  # past the terminator
+        end = lo + n
         new_run = new_window.copy()  # one pread per run of blocks
         new_run[1:] |= word * (lo[1:] - end[:-1]) > _GAP_BYTES
         run = np.cumsum(new_run) - 1
@@ -196,12 +212,8 @@ class DiskIdTable(_IdTable):
                 b"".join(self._pread(run_lo[r], run_len[r]) for r in range(r0, r1)),
                 dtype=_SLOT_DTYPE,
             )
-            pos, cnt = at[b0:b1] - run_at[r0], n[b0:b1]
-            bad = np.flatnonzero(words[pos + cnt] != 0)
-            if len(bad):
-                raise IOError(f"{self.path}: unterminated id block for slot {uniq[b0 + bad[0]]}")
-            got = _gather(words, pos, cnt)
-            ids[done : done + len(got)] = got - 1
+            got = _gather(words, at[b0:b1] - run_at[r0], n[b0:b1])
+            ids[done : done + len(got)] = got
             done += len(got)
         return IdRuns(ids, (np.cumsum(n) - n)[rank], n[rank])
 
@@ -224,27 +236,15 @@ class DiskIdTable(_IdTable):
 
 
 def _build_disk_table(qd: QuasiDictionary, bank, tmp_dir: str | None = None) -> DiskIdTable:
-    """Write the blocks slot by slot from one bank pass; no pair is buffered
+    """Write the ids slot by slot from one bank pass; no pair is buffered
     in RAM, they spill to temp files under tmp_dir until the pass ends."""
-    occ = np.zeros(qd.n_keys, dtype=np.int64)  # distinct reads per slot
-    open_slot = 0  # every block before it is written and terminated
     fd, path = tempfile.mkstemp(prefix="src_link_ids_", suffix=".bin", dir=tmp_dir)
     try:
         with open(fd, "wb") as out:
-            for keys in _sorted_pairs(qd, bank, 0, tmp_dir):
-                if not len(keys):
-                    continue
-                last = int(keys[-1] >> np.uint64(32))
-                ends = _slot_starts(keys, open_slot + 1, last + 1)  # of the blocks the part closes
-                occ[open_slot : last + 1] += np.diff(ends, prepend=0, append=len(keys))
-                out.write(np.insert(keys.astype(_SLOT_DTYPE) + 1, ends, 0))  # each closed with a 0
-                open_slot = last
-            out.write(np.zeros(qd.n_keys - open_slot, dtype=_SLOT_DTYPE))
+            offsets = _write_ids(qd, bank, 0, tmp_dir, out.write)
     except BaseException:
         os.unlink(path)
         raise
-    offsets = np.zeros(qd.n_keys + 1, dtype=np.int64)
-    np.cumsum(occ + 1, out=offsets[1:])
     return DiskIdTable(offsets, path)
 
 

@@ -7,6 +7,7 @@ output files they write."""
 import gzip
 import hashlib
 import os
+import signal
 import stat
 from collections import deque
 from contextlib import contextmanager, suppress
@@ -306,11 +307,19 @@ def output_file(path: str | Path, mode: str = "w"):
 
 
 _work: Callable | None = None  # ordered_map's fn, in each of its worker processes
+# the signals that unwind a run like Ctrl-C (cli.main); SIGHUP is POSIX-only
+STOP_SIGNALS = tuple(getattr(signal, name) for name in ("SIGTERM", "SIGHUP") if hasattr(signal, name))
 
 
 def _set_work(fn: Callable) -> None:
+    """Worker initializer: keep fn, and let a stop signal end the worker at
+    once instead of unwinding the parent's run, whose handlers fork copied.
+    An ignored signal (a run under nohup) stays ignored."""
     global _work
     _work = fn
+    for sig in STOP_SIGNALS:
+        if signal.getsignal(sig) is not signal.SIG_IGN:
+            signal.signal(sig, signal.SIG_DFL)
 
 
 def _apply(item):

@@ -1,10 +1,12 @@
 import gzip
 import multiprocessing
 import os
+import signal
 import stat
 import subprocess
 import sys
 import threading
+import time
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
@@ -610,6 +612,111 @@ def _src(*args):
         [sys.executable, "-m", "src_connector.cli", *map(str, args)],
         env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def _children(pid: int) -> list[int]:
+    with open(f"/proc/{pid}/task/{pid}/children") as fh:
+        return [int(c) for c in fh.read().split()]
+
+
+def _start_link(tmp_path, threads: str, **popen_args):
+    """A child `link --mode disk` of a 20 000-read bank against itself, with
+    its spill directory and -o path; 100x coverage, so the id table and the
+    query take a while."""
+    rng = np.random.default_rng(16)
+    genome = np.frombuffer(b"ACGT", np.uint8)[rng.integers(0, 4, 20_000)]
+    bank = tmp_path / "bank.fa"
+    with open(bank, "wb") as fh:
+        for i, start in enumerate(rng.integers(0, len(genome) - 100, 20_000).tolist()):
+            fh.write(b">r%d\n%b\n" % (i, genome[start : start + 100].tobytes()))
+    spill, out = tmp_path / "spill", tmp_path / "out.txt"
+    spill.mkdir()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    args = ["link", "--mode", "disk", "--threads", threads, "--memory-budget", "1048576",
+            "--tmp-dir", spill, "-b", bank, "-q", bank, "-o", out]
+    proc = subprocess.Popen([sys.executable, "-m", "src_connector.cli", *map(str, args)], env=env, **popen_args)
+    return proc, spill, out
+
+
+def _wait_for(proc, ready) -> None:
+    deadline = time.monotonic() + 60
+    while not ready():
+        assert proc.poll() is None, "the run ended before it was signalled"
+        assert time.monotonic() < deadline
+        time.sleep(0.002)
+
+
+def _querying(proc, out, threads: str) -> bool:
+    started = out.exists() and out.stat().st_size > 4096
+    return started and (threads == "1" or len(_children(proc.pid)) == int(threads))
+
+
+needs_children_list = pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+    reason="needs the /proc list of a process's children",
+)
+
+
+@needs_children_list
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("phase", ["build", "query"])
+def test_sigterm_unwinds_the_run(tmp_path, phase, threads):
+    # a SIGTERM mid-build or mid-query ends the run as Ctrl-C does: exit
+    # 128 + 15, no temp file or spill left, no partial output, no worker alive
+    proc, spill, out = _start_link(tmp_path, threads)
+
+    def ready() -> bool:
+        if phase == "build":  # the id table file is being written
+            return any(p.name.startswith("src_link_ids_") for p in spill.iterdir())
+        return _querying(proc, out, threads)
+
+    workers = []
+    try:
+        _wait_for(proc, ready)
+        workers = _children(proc.pid)
+        assert len(workers) == (int(threads) if phase == "query" and threads != "1" else 0)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        left = [pid for pid in workers if os.path.exists(f"/proc/{pid}")]
+        for pid in left:  # orphans would hold the test's output pipes open
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+    assert list(spill.iterdir()) == []
+    assert not out.exists()
+    assert left == []
+
+
+@needs_children_list
+def test_ignored_sighup_stays_ignored(tmp_path):
+    # a run under nohup outlives a hangup sent to its whole process group,
+    # the forked query workers included, and writes all of its output
+    proc, spill, out = _start_link(
+        tmp_path, "2", start_new_session=True,
+        preexec_fn=lambda: signal.signal(signal.SIGHUP, signal.SIG_IGN),
+    )
+    try:
+        _wait_for(proc, lambda: _querying(proc, out, "2"))
+        os.killpg(proc.pid, signal.SIGHUP)
+        assert proc.wait(timeout=60) == 0
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 + 20_000 and lines[-1].startswith("19999:")
+    assert list(spill.iterdir()) == []
+
+
+def test_main_restores_signal_handlers(capsys):
+    before = [signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGHUP)]
+    assert main(["--version"]) == 0
+    capsys.readouterr()
+    assert [signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGHUP)] == before
 
 
 @contextmanager

@@ -162,8 +162,8 @@ def test_disk_block_hand_trace(tmp_path):
     qd, disk = _disk_index(["AAAAAA"], k=3, t=1, f=6, tmp_dir=str(tmp_path))
     try:
         raw = np.fromfile(disk.path, dtype=np.uint32)
-        # one block: read 0 once (4 occurrences) stored +1, then the 0 terminator
-        assert raw.tolist() == [1, 0]
+        # one block: read 0 once (4 occurrences), as the RAM table holds it
+        assert raw.tolist() == [0]
         assert _ids(disk, np.array([0])).tolist() == [0]
     finally:
         disk.close()
@@ -221,20 +221,22 @@ def test_disk_get_is_thread_safe(tmp_path):
         disk.close()
 
 
-@pytest.mark.parametrize("damage", ["terminator", "truncated"])
+@pytest.mark.parametrize("damage", ["grown", "truncated"])
 def test_disk_get_checks_blocks(tmp_path, damage):
+    # a file of another size than the offsets give fails every lookup, even
+    # of the slots whose words lie before a cut
     rng = np.random.default_rng(10)
     bank = random_reads(rng, 300, 100)
     qd, disk = _disk_index(bank, k=31, t=1, f=12, tmp_dir=str(tmp_path))
     try:
         slots = np.arange(qd.n_keys)
         disk.get(slots)  # intact
-        if damage == "terminator":
-            with open(disk.path, "r+b") as fh:
-                fh.seek(4 * (int(disk.offsets[qd.n_keys // 2 + 1]) - 1))
+        if damage == "grown":
+            with open(disk.path, "ab") as fh:
                 fh.write(np.uint32(7).tobytes())
         else:
             os.truncate(disk.path, 4 * int(disk.offsets[qd.n_keys // 2]))
+            slots = slots[: qd.n_keys // 2]
         with pytest.raises(IOError, match=re.escape(disk.path)):
             disk.get(slots)
     finally:
@@ -243,10 +245,9 @@ def test_disk_get_checks_blocks(tmp_path, damage):
 
 def _write_disk_table(path, blocks):
     """A DiskIdTable over the given per-slot id lists, in the table's file layout."""
-    words = [np.append(np.asarray(ids, dtype=np.int64) + 1, 0) for ids in blocks]
-    np.concatenate(words).astype(np.uint32).tofile(path)
+    np.array(sum(blocks, []), dtype=np.uint32).tofile(path)
     offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
-    np.cumsum([len(w) for w in words], out=offsets[1:])
+    np.cumsum([len(ids) for ids in blocks], out=offsets[1:])
     return linker.DiskIdTable(offsets, str(path))
 
 
@@ -271,10 +272,10 @@ def _greedy_reference(k, blocks, read_ids, reads, positions, slots, min_shared, 
 
 @pytest.mark.parametrize("kind", ["ram", "disk"])
 def test_similarity_wide_fields(tmp_path, kind):
-    # target ids up to 2^32 - 2 and positions past 2^25: 26 position bits
+    # target ids up to 2^32 - 1 and positions past 2^25: 26 position bits
     # leave room for 32 reads per packed key range, so the 70 reads take three
     rng = np.random.default_rng(11)
-    k, top = 5, 2**32 - 2
+    k, top = 5, 2**32 - 1
     pool = np.array([0, 1, 2, 77, 2**31, top - 2, top - 1, top], dtype=np.int64)
     blocks = [
         sorted(rng.choice(pool, rng.integers(0, 4), replace=False).tolist()) for _ in range(30)
@@ -474,6 +475,26 @@ def test_ids_across_batches(tmp_path, monkeypatch, block_bytes):
     assert any(len(ids) > 1 for ids in expect)
 
 
+@pytest.mark.parametrize("bank_kind", ["multi-batch", "empty"])
+def test_disk_file_holds_ram_ids(tmp_path, monkeypatch, bank_kind):
+    # one layout: the disk file's words are the RAM table's ids, and both
+    # tables have the same offsets; small blocks make one batch per read
+    bank = tmp_path / "bank.fa"
+    rng = np.random.default_rng(15)
+    write_fasta(bank, planted_family_reads(rng, 20, 4, 120) if bank_kind == "multi-batch" else [])
+    qd = build_bank_index(bank, 31, 1, 12)[0]
+    monkeypatch.setattr(seqio, "BLOCK_BYTES", 64)
+    ram = ReadIdTable.build(qd, bank)
+    disk = _build_disk_table(qd, bank, str(tmp_path))
+    try:
+        assert np.array_equal(np.fromfile(disk.path, np.uint32), ram.ids)
+        assert np.array_equal(disk.offsets, ram.offsets)
+        assert len(ram.offsets) == qd.n_keys + 1
+        assert (len(ram.ids) > qd.n_keys) == (bank_kind == "multi-batch")
+    finally:
+        disk.close()
+
+
 @pytest.mark.parametrize("cuts", [1, 3, 17])
 def test_disk_table_parts_split_inside_a_slot(tmp_path, monkeypatch, cuts):
     # a spill splits a slot's reads across parts only past 2^26 read ids, so
@@ -504,18 +525,18 @@ def test_disk_table_parts_split_inside_a_slot(tmp_path, monkeypatch, cuts):
         split.close()
 
 
-@pytest.mark.parametrize("n_reads", [255, 256])
+@pytest.mark.parametrize("n_reads", [255, 256, 257])
 def test_bank_must_fit_id_table(tmp_path, monkeypatch, capsys, n_reads):
-    # the disk table stores id+1, so a uint8 table holds ids up to 254: 255 reads
+    # both tables store plain ids, so a uint8 table holds ids up to 255: 256 reads
     bank = tmp_path / "bank.fa"
     write_fasta(bank, random_reads(np.random.default_rng(12), n_reads, 60))
     qd = build_bank_index(bank, 31, 1, 12)[0]
     monkeypatch.setattr(linker, "_SLOT_DTYPE", np.uint8)
     spill = tmp_path / "spill"
     spill.mkdir()
-    if n_reads == 255:  # both builds succeed, and the disk table reads back uint8 words
+    if n_reads <= 256:  # both builds succeed, and the disk table reads back uint8 words
         ram = ReadIdTable.build(qd, bank)
-        assert ram.ids.max() == 254
+        assert ram.ids.max() == n_reads - 1
         disk = _build_disk_table(qd, bank, str(spill))
         try:
             slots = np.arange(qd.n_keys)
@@ -525,14 +546,14 @@ def test_bank_must_fit_id_table(tmp_path, monkeypatch, capsys, n_reads):
         finally:
             disk.close()
     else:
-        with pytest.raises(ValueError, match="more than 255 reads"):
+        with pytest.raises(ValueError, match="more than 256 reads"):
             ReadIdTable.build(qd, bank)
-        with pytest.raises(ValueError, match="more than 255 reads"):
+        with pytest.raises(ValueError, match="more than 256 reads"):
             _build_disk_table(qd, bank, str(spill))
         args = ["link", "-b", str(bank), "-q", str(bank), "-t", "1", "--mode", "disk",
                 "--tmp-dir", str(spill), "-o", str(tmp_path / "out.txt")]
         assert main(args) == 2
-        assert "more than 255 reads" in capsys.readouterr().err
+        assert "more than 256 reads" in capsys.readouterr().err
     assert list(spill.iterdir()) == []
 
 

@@ -2,6 +2,7 @@ import gc
 import gzip
 import multiprocessing
 import os
+import signal
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from src_connector import seqio
 from src_connector.seqio import (
     BankDigest,
+    STOP_SIGNALS,
     ReadBatch,
     ReadStream,
     SequenceFormatError,
@@ -330,4 +332,20 @@ def test_ordered_map_worker_death_raises():
 def test_ordered_map_consumer_stop_joins_workers():
     with closing(ordered_map(lambda x: x, range(100), 2)) as results:
         assert next(results) == 0
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("inherited", ["handler", "ignored"])
+def test_ordered_map_workers_take_default_stop_signals(inherited):
+    # a worker must not inherit, through fork, the handlers that unwind the
+    # main process; a signal the main process ignores (nohup) stays ignored
+    handler = signal.SIG_IGN if inherited == "ignored" else (lambda *args: None)
+    previous = [signal.signal(sig, handler) for sig in STOP_SIGNALS]
+    try:
+        got = list(ordered_map(lambda x: [signal.getsignal(sig) for sig in STOP_SIGNALS], range(4), 2))
+    finally:
+        for sig, was in zip(STOP_SIGNALS, previous):
+            signal.signal(sig, was)
+    want = signal.SIG_IGN if inherited == "ignored" else signal.SIG_DFL
+    assert got == [[want] * len(STOP_SIGNALS)] * 4
     assert not multiprocessing.active_children()
