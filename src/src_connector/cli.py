@@ -179,28 +179,45 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def _check_outputs(args) -> None:
-    """Refuse an output (-o, --sidecar) that names one of the run's input
-    files or the other output: opening it would destroy that file. An output
-    that exists and is not a regular file, such as /dev/null, is let be."""
-    named = [
-        (flag, getattr(args, dest, None))
-        for flag, dest in (("-b", "bank"), ("-q", "query"), ("--index", "index"), ("-o", "out"))
+    """Refuse, before any index is built or loaded, the paths a run cannot
+    use: a missing or extra -b; an input (-b, -q, --index) that does not
+    exist or is a directory; an output (-o, --sidecar) that is a directory
+    or whose directory does not exist; a --tmp-dir that is not a directory;
+    and an output that names one of the run's input files or the other
+    output, since opening it would destroy that file. FIFOs and devices
+    such as /dev/stdin and /dev/null pass, and an output that is one is let
+    be."""
+    if args.command != "bench":
+        reads_bank = not (args.command == "count" and args.index)
+        if reads_bank and not args.bank:
+            raise UsageError("a bank file (-b) is required")
+        if args.bank and not reads_bank:
+            raise UsageError("count --index reads no bank; drop -b (the index holds the bank's counts)")
+    inputs = [
+        (flag, getattr(args, dest, None)) for flag, dest in (("-b", "bank"), ("-q", "query"), ("--index", "index"))
     ]
-    for flag, path in [("-o", args.out), ("--sidecar", getattr(args, "sidecar", None))]:
+    for flag, path in inputs:
+        if path and not os.path.exists(path):
+            raise FileNotFoundError(f"{flag} {path}: no such file")
+        if path and os.path.isdir(path):
+            raise IsADirectoryError(f"{flag} {path}: is a directory")
+    outputs = [("-o", args.out), ("--sidecar", getattr(args, "sidecar", None))]
+    for flag, path in outputs:
+        if path and os.path.isdir(path):
+            raise IsADirectoryError(f"{flag} {path}: is a directory")
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(f"{flag} {path}: its directory does not exist")
+    tmp_dir = getattr(args, "tmp_dir", None)
+    if tmp_dir is not None and not os.path.isdir(tmp_dir):
+        raise NotADirectoryError(f"--tmp-dir {tmp_dir}: not an existing directory")
+    for flag, path in outputs:
         if not path or (os.path.exists(path) and not os.path.isfile(path)):
             continue
-        for other_flag, other in named:
+        for other_flag, other in [*inputs, outputs[0]]:
             if other and other_flag != flag and _same_file(path, other):
                 raise ValueError(
                     f"{flag} {path} is the same file as {other_flag} {other}; refusing to overwrite it"
                 )
-
-
-def _require_bank(args):
-    if not args.bank:
-        raise UsageError("a bank file (-b) is required")
-    if not Path(args.bank).exists():
-        raise FileNotFoundError(f"bank file not found: {args.bank}")
 
 
 def _build(args):
@@ -208,7 +225,6 @@ def _build(args):
     k = args.k if args.k is not None else MAX_K
     f = _given_f(args, k, min(args.default_f, 2 * k))  # an explicit -f is not capped
     _check_k_f(k, f)
-    _require_bank(args)
     return build_bank_index(
         args.bank, k, 2 if args.t is None else args.t, f,
         gamma=DEFAULT_GAMMA if args.gamma is None else args.gamma,
@@ -225,8 +241,6 @@ def cmd_index(args) -> int:
 
 def cmd_count(args) -> int:
     if args.index:
-        if args.bank:
-            raise UsageError("count --index reads no bank; drop -b (the index holds the bank's counts)")
         qd, counts = _load_prebuilt(args)
         if counts is None:
             raise ValueError(f"{args.index}: index carries no count table")
@@ -239,8 +253,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_link(args) -> int:
-    _require_bank(args)  # the id table is always rebuilt from the bank reads
-    if args.index:
+    if args.index:  # the id table is still rebuilt from the bank reads
         qd = _load_prebuilt(args)[0]
     elif not Path(args.bank).is_file():  # a pipe cannot be read twice
         raise ValueError(f"{args.bank}: link without --index reads the bank twice, so it must be a regular file")

@@ -6,7 +6,6 @@ and the canonical form is a plain minimum with the reverse complement.
 k is capped at 31 so a code always fits 62 bits.
 """
 
-import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -153,57 +152,30 @@ def _solid_runs(part: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray, int]:
     return np.concatenate(codes), np.concatenate(counts), n_distinct
 
 
-class _Spill:
-    """Temp-file partitions of uint64 keys below 2^key_bits, range-partitioned
-    by their high bits so per-partition results concatenate back in ascending
-    key order."""
-
-    N_PARTITIONS = 64
-
-    def __init__(self, key_bits: int, tmp_dir: str | None):
-        self.shift = U64(max(0, key_bits - 6))
-        self.dir = tempfile.TemporaryDirectory(prefix="src_spill_", dir=tmp_dir)
-        self.files = [
-            open(os.path.join(self.dir.name, f"part_{i:02d}.bin"), "wb")
-            for i in range(self.N_PARTITIONS)
-        ]
-
-    def write(self, keys: np.ndarray) -> None:
-        keys = np.sort(keys)
-        bounds = np.arange(1, self.N_PARTITIONS, dtype=U64) << self.shift
-        for f, part in zip(self.files, np.split(keys, np.searchsorted(keys, bounds))):
-            f.write(part.tobytes())
-
-    def partitions(self) -> Iterator[np.ndarray]:
-        for f in self.files:
-            f.close()
-            yield np.fromfile(f.name, dtype=U64)
-
-    def cleanup(self) -> None:
-        for f in self.files:
-            f.close()
-        self.dir.cleanup()
-
-
 def sorted_keys(
     batches: Iterable[np.ndarray], key_bits: int, memory_budget: int, tmp_dir: str | None
 ) -> Iterator[np.ndarray]:
     """Every uint64 key of batches (each below 2^key_bits), ascending, as
     consecutive sorted arrays: one in-memory array or, once the keys pass
-    memory_budget bytes, one per range-partition temp file under tmp_dir.
-    The files are deleted on every exit path."""
+    memory_budget bytes, one per range partition by the keys' top 6 bits.
+    The 64 partitions are unnamed temp files under tmp_dir, so the system
+    frees them however the run ends; each is closed, and its space freed,
+    once it is read back, before it is yielded."""
     chunks: list[np.ndarray] = []
     buffered = 0
-    spill: _Spill | None = None
+    parts: list = []
     try:
         for keys in batches:
             chunks.append(keys)
             buffered += keys.nbytes
             if buffered > memory_budget:
-                spill = spill or _Spill(key_bits, tmp_dir)
+                parts = parts or [tempfile.TemporaryFile(dir=tmp_dir) for _ in range(64)]
+                bounds = np.arange(1, len(parts), dtype=U64) << U64(max(0, key_bits - 6))
                 while chunks:
-                    spill.write(chunks.pop())
-        if spill is None:
+                    keys = np.sort(chunks.pop())
+                    for f, part in zip(parts, np.split(keys, np.searchsorted(keys, bounds))):
+                        f.write(part.tobytes())
+        if not parts:
             keys = np.empty(sum(map(len, chunks)), dtype=U64)
             end = len(keys)
             while chunks:  # last chunk first, each freed once copied
@@ -212,13 +184,15 @@ def sorted_keys(
                 end = start
             keys.sort()
             yield keys
-        else:
-            for keys in spill.partitions():
-                keys.sort()
-                yield keys
+        for f in parts:
+            f.seek(0)
+            keys = np.fromfile(f, dtype=U64)
+            f.close()
+            keys.sort()
+            yield keys
     finally:
-        if spill is not None:
-            spill.cleanup()
+        for f in parts:
+            f.close()
 
 
 def count_solid_kmers(
@@ -230,8 +204,9 @@ def count_solid_kmers(
 ) -> SolidKmerSet:
     """Exact canonical k-mer counting over a read set, keeping counts >= t.
 
-    Codes are sorted by sorted_keys, which spills them to temp files under
-    tmp_dir once they pass memory_budget bytes. So the build holds 8 bytes
+    Codes are sorted by sorted_keys, which spills them to 64 unnamed temp
+    files under tmp_dir once they pass memory_budget bytes; no spill file
+    outlives the call, however it ends. So the build holds 8 bytes
     per buffered k-mer occurrence, up to memory_budget (or one spilled
     partition), plus per-slice temporaries: _solid_runs selects the solid
     codes KEY_CHUNK occurrences at a time, and only the solid codes and

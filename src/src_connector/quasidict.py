@@ -20,7 +20,7 @@ import numpy as np
 from .bitpack import KEY_CHUNK, WORD_BITS, PackedArray
 from .kmers import DEFAULT_MEMORY_BUDGET, MAX_K, SolidKmerSet, count_solid_kmers, encode_reads
 from .mphf import DEFAULT_GAMMA, DEFAULT_MASTER_SEED, Mphf
-from .seqio import ReadBatch
+from .seqio import ReadBatch, output_file
 
 U64 = np.uint64
 
@@ -148,7 +148,7 @@ class QuasiDictionary:
         checksum = hashlib.blake2b(head, digest_size=16)
         for section in sections:
             checksum.update(section)
-        with open(path, "wb") as fh:
+        with output_file(path, "wb") as fh:  # a failed write leaves no file
             fh.write(head + checksum.digest())
             for section in sections:
                 fh.write(section)

@@ -291,13 +291,14 @@ class BankDigest:
 
 @contextmanager
 def output_file(path: str | Path, mode: str = "w"):
-    """open(path, mode) for the with block. If the block raises, the file is
-    deleted when path names it as a regular file, not through a symlink; a
-    device, FIFO or link is kept, and a failed delete does not replace the
-    error."""
+    """open(path, mode) for the with block. If the block, or the flush of
+    what it buffered, raises, the file is deleted when path names it as a
+    regular file, not through a symlink; a device, FIFO or link is kept, and
+    a failed delete does not replace the error."""
     with open(path, mode) as fh:
         try:
             yield fh
+            fh.flush()
         except BaseException:
             with suppress(OSError):
                 opened, named = os.fstat(fh.fileno()), os.lstat(path)

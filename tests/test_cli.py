@@ -1,4 +1,5 @@
 import gzip
+import io
 import multiprocessing
 import os
 import signal
@@ -13,7 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from src_connector import counter, seqio
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
+from src_connector import cli, counter, seqio
 from src_connector.bench import random_canonical_codes
 from src_connector.cli import build_parser, main
 from src_connector.kmers import canonicalize_batch
@@ -424,6 +430,67 @@ def test_output_is_an_input(bank, tmp_path, capsys, args, flag, other):
     assert {name: file.read_bytes() for name, file in files.items() if file.exists()} == before
 
 
+@pytest.fixture
+def no_index(monkeypatch):
+    """Fail a run that builds or loads an index, with a message to check for."""
+
+    def reached(*args, **kwargs):
+        raise RuntimeError("index step reached")
+
+    monkeypatch.setattr(cli, "build_bank_index", reached)
+    monkeypatch.setattr(cli, "load_index", reached)
+
+
+_UNUSABLE = {
+    "index -b {bank} -o {none}/x.idx": "-o",
+    "index -b {bank} -o {dir}": "-o",
+    "index -b {bank} -o {out} --tmp-dir {none}": "--tmp-dir",
+    "index -b {bank} -o {out} --tmp-dir {bank}": "--tmp-dir",
+    "index -b {dir} -o {out}": "-b",
+    "count -b {bank} -q {none}/q.fa -o {out}": "-q",
+    "count -b {bank} -q {dir} -o {out}": "-q",
+    "count --index {none}/b.idx -q {bank} -o {out}": "--index",
+    "link -b {bank} -q {bank} -o {dir}": "-o",
+    "link -b {bank} -q {none}/q.fa -o {out}": "-q",
+    "link -b {bank} -q {bank} -o {out} --sidecar {dir}": "--sidecar",
+    "link -b {bank} -q {bank} -o {out} --sidecar {none}/map.tsv": "--sidecar",
+}
+
+
+def _cli_args(tmp_path, bank, line: str) -> list[str]:
+    paths = dict(
+        bank=bank, dir=tmp_path, none=tmp_path / "none", out=tmp_path / "out",
+        fifo=tmp_path / "q.fifo", idx=tmp_path / "b.idx",
+    )
+    return [arg.format(**paths) for arg in line.split()]
+
+
+@pytest.mark.parametrize("line, flag", list(_UNUSABLE.items()))
+def test_unusable_path_refused_before_the_index(bank, tmp_path, capsys, no_index, line, flag):
+    assert main(_cli_args(tmp_path, bank[0], line)) == 2
+    err = capsys.readouterr().err
+    assert f"src: error: {flag} " in err and "index step reached" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "count -b {bank} -q {fifo} -o {out}",
+        "count -b {bank} -q /dev/stdin -o {out}",
+        "count --index {idx} -q /dev/stdin -o {out}",
+        "index -b {bank} -o /dev/null",
+    ],
+)
+def test_fifo_and_devices_pass_the_path_checks(bank, tmp_path, capsys, no_index, line):
+    if "/dev/stdin" in line and not os.path.exists("/dev/stdin"):
+        pytest.skip("this process has no standard input")
+    os.mkfifo(tmp_path / "q.fifo")  # never opened: the index step comes first
+    (tmp_path / "b.idx").write_bytes(b"")
+    assert main(_cli_args(tmp_path, bank[0], line)) == 2
+    assert "index step reached" in capsys.readouterr().err
+
+
 def test_non_regular_output_may_be_an_input(bank):
     path, _ = bank
     assert main(["count", "-b", str(path), "-t", "1", "-q", os.devnull, "-o", os.devnull]) == 0
@@ -604,14 +671,16 @@ def test_exact_against_index(bank, tmp_path, capsys, tool):
     assert "index was built with f=12, not f=42" in capsys.readouterr().err
 
 
-def _src(*args):
-    """Run the CLI in a child process, which a run blocked on a pipe cannot outlive."""
+def _src_command(*args) -> dict:
+    """subprocess arguments that run the CLI in a child process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-m", "src_connector.cli", *map(str, args)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    return dict(args=[sys.executable, "-m", "src_connector.cli", *map(str, args)], env=env)
+
+
+def _src(*args, **run_args):
+    """Run the CLI in a child process, which a run blocked on a pipe cannot outlive."""
+    return subprocess.run(**_src_command(*args), capture_output=True, text=True, timeout=60, **run_args)
 
 
 def _children(pid: int) -> list[int]:
@@ -619,23 +688,27 @@ def _children(pid: int) -> list[int]:
         return [int(c) for c in fh.read().split()]
 
 
-def _start_link(tmp_path, threads: str, **popen_args):
-    """A child `link --mode disk` of a 20 000-read bank against itself, with
-    its spill directory and -o path; 100x coverage, so the id table and the
-    query take a while."""
+def _shotgun_bank(tmp_path) -> Path:
+    """A bank of 20 000 reads of a 20 kbp genome: 100x coverage, so building
+    its id table and querying it take a while."""
     rng = np.random.default_rng(16)
     genome = np.frombuffer(b"ACGT", np.uint8)[rng.integers(0, 4, 20_000)]
     bank = tmp_path / "bank.fa"
     with open(bank, "wb") as fh:
         for i, start in enumerate(rng.integers(0, len(genome) - 100, 20_000).tolist()):
             fh.write(b">r%d\n%b\n" % (i, genome[start : start + 100].tobytes()))
+    return bank
+
+
+def _start_link(tmp_path, threads: str, **popen_args):
+    """A child `link --mode disk` of the shotgun bank against itself, with
+    its spill directory and -o path."""
+    bank = _shotgun_bank(tmp_path)
     spill, out = tmp_path / "spill", tmp_path / "out.txt"
     spill.mkdir()
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     args = ["link", "--mode", "disk", "--threads", threads, "--memory-budget", "1048576",
             "--tmp-dir", spill, "-b", bank, "-q", bank, "-o", out]
-    proc = subprocess.Popen([sys.executable, "-m", "src_connector.cli", *map(str, args)], env=env, **popen_args)
+    proc = subprocess.Popen(**_src_command(*args), **popen_args)
     return proc, spill, out
 
 
@@ -710,6 +783,75 @@ def test_ignored_sighup_stays_ignored(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 2 + 20_000 and lines[-1].startswith("19999:")
     assert list(spill.iterdir()) == []
+
+
+def _files_open_under(pid: int, directory: Path) -> int:
+    """How many of the process's open files are under directory, by their
+    /proc/<pid>/fd links; an unnamed file links to "<directory>/#<inode> (deleted)"."""
+    n = 0
+    with suppress(FileNotFoundError):  # the process may end meanwhile
+        for fd in os.listdir(f"/proc/{pid}/fd"):
+            with suppress(FileNotFoundError):
+                n += os.readlink(f"/proc/{pid}/fd/{fd}").startswith(f"{directory}{os.sep}")
+    return n
+
+
+@pytest.mark.skipif(not os.path.isdir(f"/proc/{os.getpid()}/fd"), reason="needs /proc/<pid>/fd")
+def test_sigkill_leaves_no_spill(tmp_path):
+    # a run killed while its 64 spill files are open leaves nothing under
+    # --tmp-dir: the files never had names, so the system frees them
+    bank = _shotgun_bank(tmp_path)
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    args = ["index", "--memory-budget", "0", "--tmp-dir", spill, "-b", bank, "-o", tmp_path / "x.idx"]
+    proc = subprocess.Popen(**_src_command(*args))
+    try:
+        _wait_for(proc, lambda: _files_open_under(proc.pid, spill) == 64)
+        proc.kill()
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert list(spill.iterdir()) == []
+
+
+def _limit_file_size(limit: int):
+    """A preexec_fn: files the child writes stop at limit bytes, and a write
+    past it fails with EFBIG instead of raising SIGXFSZ."""
+
+    def preexec():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    return preexec
+
+
+@pytest.mark.skipif(resource is None, reason="needs resource limits")
+def test_failed_index_write_leaves_no_file(tmp_path):
+    bank, idx = tmp_path / "bank.fa", tmp_path / "bank.idx"
+    write_fasta(bank, random_reads(np.random.default_rng(3), 2000, 100))  # a 700 kB index
+    proc = _src("index", "-t", "1", "-b", bank, "-o", idx, preexec_fn=_limit_file_size(100_000))
+    assert proc.returncode == 2, proc.stderr
+    assert "too large" in proc.stderr
+    assert not idx.exists()
+
+
+@pytest.mark.skipif(resource is None, reason="needs resource limits")
+def test_failed_last_flush_leaves_no_file(bank, tmp_path):
+    # count flushes its header early; the rows fit the write buffer, so the
+    # limit, halfway through them, is first met by the flush at the end
+    path, _ = bank
+    args = ["count", "-b", path, "-q", path, "-t", "1", "--threads", "1", "-o"]
+    full, cut = tmp_path / "full.tsv", tmp_path / "cut.tsv"
+    assert main([*map(str, args), str(full)]) == 0
+    size = full.stat().st_size
+    header = sum(len(line) for line in full.read_bytes().splitlines(True) if line.startswith(b"#"))
+    assert size - header < io.DEFAULT_BUFFER_SIZE
+    proc = _src(*args, cut, preexec_fn=_limit_file_size((header + size) // 2))
+    assert proc.returncode == 2, proc.stderr
+    assert "too large" in proc.stderr
+    assert not cut.exists()
 
 
 def test_main_restores_signal_handlers(capsys):

@@ -25,6 +25,19 @@ from _oracles import canon_str, code_of, count_kmers, kmer_of, kmer_windows, rev
 U64 = np.uint64
 
 
+@pytest.fixture
+def spill_files(monkeypatch):
+    """Every tempfile.TemporaryFile made while the test runs, in order."""
+    made, make = [], tempfile.TemporaryFile
+
+    def record(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", record)
+    return made
+
+
 def _encode(seqs, k):
     batch = ReadBatch.from_strings(seqs)
     return encode_reads(batch.seq, batch.offsets, k)
@@ -220,7 +233,7 @@ def test_solid_runs_memory_is_per_slice(t):
     assert (counts == 256).all()
 
 
-def test_spill_removed_when_selection_fails(tmp_path, monkeypatch):
+def test_spill_removed_when_selection_fails(tmp_path, monkeypatch, spill_files):
     # the solid selection raises on the second spilled partition
     bank = tmp_path / "bank.fa"
     write_fasta(bank, random_reads(np.random.default_rng(12), 60, 50))
@@ -238,9 +251,10 @@ def test_spill_removed_when_selection_fails(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="selection failed"):
         count_solid_kmers(bank, 15, 1, memory_budget=100, tmp_dir=str(spill_dir))
     assert list(spill_dir.iterdir()) == []
+    assert len(spill_files) == 64 and all(f.closed for f in spill_files)
 
 
-def test_spill_removed_when_bank_fails(tmp_path, monkeypatch):
+def test_spill_removed_when_bank_fails(tmp_path, monkeypatch, spill_files):
     # the bad record comes after spilling has begun; nothing may wait for gc
     bank = tmp_path / "bank.fq"
     seqs = random_reads(np.random.default_rng(9), 60, 50)
@@ -252,6 +266,7 @@ def test_spill_removed_when_bank_fails(tmp_path, monkeypatch):
     with pytest.raises(SequenceFormatError):
         count_solid_kmers(bank, 15, 1, memory_budget=100, tmp_dir=str(spill_dir))
     assert list(spill_dir.iterdir()) == []
+    assert len(spill_files) == 64 and all(f.closed for f in spill_files)
 
 
 @pytest.mark.parametrize("budget", [0, 1000, 1 << 40])
@@ -264,12 +279,21 @@ def test_sorted_keys_ascending(tmp_path, budget):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_sorted_keys_removes_spill_when_caller_stops(tmp_path):
+def test_sorted_keys_removes_spill_when_caller_stops(tmp_path, spill_files):
     keys = sorted_keys(iter([np.arange(100, dtype=U64)]), 7, 0, str(tmp_path))
     assert next(keys).tolist() == [0, 1]  # partitions of 2 keys
-    assert list(tmp_path.iterdir()) != []
+    assert len(spill_files) == 64 and sum(f.closed for f in spill_files) == 1
     keys.close()
-    assert list(tmp_path.iterdir()) == []
+    assert all(f.closed for f in spill_files)
+    assert list(tmp_path.iterdir()) == []  # the files never had names
+
+
+def test_sorted_keys_closes_each_partition_once_yielded(tmp_path, spill_files):
+    keys = sorted_keys(iter([np.arange(128, dtype=U64)[::-1]]), 7, 0, str(tmp_path))
+    for i, part in enumerate(keys):  # partition i holds 2i and 2i + 1
+        assert part.tolist() == [2 * i, 2 * i + 1]
+        assert [f.closed for f in spill_files] == [j <= i for j in range(64)]
+    assert i == 63
 
 
 def test_invalid_parameters():
