@@ -5,7 +5,8 @@ slot. A query read is scanned left to right; a shared k-mer at position i
 counts for a target only if i is past the target's next free position,
 which then advances by k. Targets below the --min-shared threshold are
 dropped. The id table lists each slot's bank reads once, ascending, in one
-CSR layout of ids and slot offsets, with the ids kept in RAM or in a temp file.
+CSR layout of ids and slot offsets, with the ids kept in RAM or in an unnamed
+temp file, which the system frees however the run ends.
 
 A batch's indexed k-mers, bank or query, come from one QuasiDictionary.lookup.
 A query batch makes one table lookup, which returns each indexed k-mer's run
@@ -34,7 +35,7 @@ from .quasidict import QuasiDictionary
 from .seqio import BankDigest, ReadBatch, ordered_map, output_file, read_batches
 
 DEFAULT_MIN_SHARED = 2
-_SLOT_DTYPE = np.uint32  # read ids, in RAM and in the disk table's words
+_ID_DTYPE = np.uint32  # read ids, in RAM and in the disk table's words
 _GAP_BYTES = 4096  # a disk gather reads through gaps up to this size between blocks
 _READ_BYTES = 1 << 20  # and buffers the blocks of one window of this size at a time
 
@@ -65,11 +66,11 @@ def _bank_pairs(qd: QuasiDictionary, bank) -> Iterator[np.ndarray]:
     slot << 32 | read id, which sort by slot, then by read id.
 
     A read lies in one batch, so no pair repeats across batches. Raises
-    ValueError at a read id that _SLOT_DTYPE cannot hold, and, once the whole
+    ValueError at a read id that _ID_DTYPE cannot hold, and, once the whole
     bank is read, if its reads are not the ones qd was built from.
     """
     digest = BankDigest()
-    most = int(np.iinfo(_SLOT_DTYPE).max) + 1
+    most = int(np.iinfo(_ID_DTYPE).max) + 1
     for batch in read_batches(bank):
         if batch.first_id + len(batch) > most:
             raise ValueError(f"bank has more than {most} reads, the most the id table holds")
@@ -98,8 +99,12 @@ def _slot_starts(keys: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def _write_ids(qd: QuasiDictionary, bank, memory_budget: int, tmp_dir: str | None, write) -> np.ndarray:
-    """Pass each ascending part of the bank's pair keys to write as _SLOT_DTYPE
-    ids, and return each slot's offset in the parts laid end to end."""
+    """Pass each ascending part of the bank's pair keys to write as _ID_DTYPE
+    ids, and return each slot's offset in the parts laid end to end. Raises
+    ValueError, before anything is allocated, for a dictionary of more
+    slots than the 32 high bits of a pair key hold."""
+    if qd.n_keys > 2**32:
+        raise ValueError(f"index has {qd.n_keys} k-mers, more than the 2^32 the id table holds")
     offsets = np.zeros(qd.n_keys + 1, dtype=np.int64)  # slot s's count over all parts at s + 1
     for keys in _sorted_pairs(qd, bank, memory_budget, tmp_dir):
         if len(keys):
@@ -108,7 +113,7 @@ def _write_ids(qd: QuasiDictionary, bank, memory_budget: int, tmp_dir: str | Non
             offsets[lo + 1 : hi + 1] += starts[1:]
             offsets[lo + 1 : hi + 1] -= starts[:-1]
             del starts  # before the part's ids are made, so they are not held together
-        write(keys.astype(_SLOT_DTYPE))
+        write(keys.astype(_ID_DTYPE))
     np.cumsum(offsets, out=offsets)
     return offsets
 
@@ -127,7 +132,7 @@ class IdRuns:
     read ids are values[lo[i]:lo[i] + n[i]]. Unpacks as (values, lo, n), and
     its len() is the number of ids, as in _gather(*runs)."""
 
-    values: np.ndarray  # _SLOT_DTYPE
+    values: np.ndarray  # _ID_DTYPE
     lo: np.ndarray  # int64
     n: np.ndarray  # int64
 
@@ -154,7 +159,7 @@ class ReadIdTable(_IdTable):
 
     def __init__(self, offsets: np.ndarray, ids: np.ndarray):
         self.offsets = offsets
-        self.ids = ids  # _SLOT_DTYPE
+        self.ids = ids  # _ID_DTYPE
 
     @classmethod
     def build(cls, qd: QuasiDictionary, bank) -> "ReadIdTable":
@@ -168,15 +173,17 @@ class ReadIdTable(_IdTable):
 
 class DiskIdTable(_IdTable):
     """Temp-file table: the words of ReadIdTable's ids, so slot s's ascending,
-    distinct bank read ids are _SLOT_DTYPE words offsets[s]:offsets[s + 1].
+    distinct bank read ids are _ID_DTYPE words offsets[s]:offsets[s + 1].
 
-    Keeps only one offset per slot in RAM. Owns the file: close() deletes it.
+    Keeps only one offset per slot in RAM, and reads through the descriptor
+    of file, an open, flushed file it owns: close() closes it, and the
+    system frees an unnamed one.
     """
 
-    def __init__(self, offsets: np.ndarray, path: str):
-        self.offsets = offsets  # block starts in _SLOT_DTYPE words
-        self.path = path
-        self._fd = os.open(path, os.O_RDONLY)
+    def __init__(self, offsets: np.ndarray, file):
+        self.offsets = offsets  # block starts in _ID_DTYPE words
+        self._file, self._fd = file, file.fileno()
+        self.path = file.name  # an unnamed file's name is its descriptor, which os.path.getsize takes
 
     def get(self, slots: np.ndarray) -> IdRuns:
         """Each slot's ascending, distinct bank read ids, as runs of one
@@ -186,10 +193,10 @@ class DiskIdTable(_IdTable):
         than _GAP_BYTES apart share one pread, and a buffer holds the blocks
         that start in one _READ_BYTES window of the file.
         """
-        word = np.dtype(_SLOT_DTYPE).itemsize
+        word = np.dtype(_ID_DTYPE).itemsize
         want = word * int(self.offsets[-1])
         if (size := os.fstat(self._fd).st_size) != want:
-            raise IOError(f"{self.path}: id table file is {size} bytes, not the {want} of its offsets")
+            raise IOError(f"link id table file is {size} bytes, not the {want} of its offsets")
         uniq, rank = np.unique(slots, return_inverse=True)  # rank: of each slot's block in uniq
         lo, n = self.blocks(uniq)
         window = lo // (_READ_BYTES // word)
@@ -203,14 +210,14 @@ class DiskIdTable(_IdTable):
         run_len = np.maximum.reduceat(end, np.flatnonzero(new_run)) - run_lo  # end ascends
         run_at = np.cumsum(run_len) - run_len  # in the runs laid end to end
         at = run_at[run] + lo - run_lo[run]  # of each block, likewise
-        ids = np.empty(int(n.sum()), dtype=_SLOT_DTYPE)  # of uniq, in order
+        ids = np.empty(int(n.sum()), dtype=_ID_DTYPE)  # of uniq, in order
         done = 0
         starts = np.flatnonzero(new_window).tolist()
         for b0, b1 in zip(starts, starts[1:] + [len(uniq)]):
             r0, r1 = run[b0], run[b1 - 1] + 1
             words = np.frombuffer(
                 b"".join(self._pread(run_lo[r], run_len[r]) for r in range(r0, r1)),
-                dtype=_SLOT_DTYPE,
+                dtype=_ID_DTYPE,
             )
             got = _gather(words, at[b0:b1] - run_at[r0], n[b0:b1])
             ids[done : done + len(got)] = got
@@ -220,32 +227,32 @@ class DiskIdTable(_IdTable):
     def _pread(self, lo: int, words: int) -> bytes:
         """Words lo:lo + words of the file, in positioned reads of at most
         _READ_BYTES, so concurrent readers share no file position."""
-        word = np.dtype(_SLOT_DTYPE).itemsize
+        word = np.dtype(_ID_DTYPE).itemsize
         start, size = word * int(lo), word * int(words)
         data = b"".join(
             os.pread(self._fd, min(_READ_BYTES, size - i), start + i)
             for i in range(0, size, _READ_BYTES)
         )
         if len(data) != size:
-            raise IOError(f"{self.path}: id table file is truncated")
+            raise IOError("link id table file is truncated")
         return data
 
     def close(self) -> None:
-        os.close(self._fd)
-        os.unlink(self.path)
+        self._file.close()
 
 
 def _build_disk_table(qd: QuasiDictionary, bank, tmp_dir: str | None = None) -> DiskIdTable:
-    """Write the ids slot by slot from one bank pass; no pair is buffered
-    in RAM, they spill to temp files under tmp_dir until the pass ends."""
-    fd, path = tempfile.mkstemp(prefix="src_link_ids_", suffix=".bin", dir=tmp_dir)
+    """Write the ids slot by slot from one bank pass into an unnamed temp
+    file under tmp_dir, closed if the build fails; no pair is buffered in
+    RAM, they spill to unnamed temp files there until the pass ends."""
+    out = tempfile.TemporaryFile(dir=tmp_dir)
     try:
-        with open(fd, "wb") as out:
-            offsets = _write_ids(qd, bank, 0, tmp_dir, out.write)
+        offsets = _write_ids(qd, bank, 0, tmp_dir, out.write)
+        out.flush()
     except BaseException:
-        os.unlink(path)
+        out.close()
         raise
-    return DiskIdTable(offsets, path)
+    return DiskIdTable(offsets, out)
 
 
 def _greedy_counts(key: np.ndarray, pbits: int, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ GZIP_MAGIC = b"\x1f\x8b"
 # record longer than this makes a larger batch, of that record alone
 BLOCK_BYTES = 1 << 17
 
-_NL, _CR = ord("\n"), ord("\r")
+_NL, _CR, _AT, _PLUS = map(ord, "\n\r@+")
 
 
 class SequenceFormatError(Exception):
@@ -83,14 +83,14 @@ def _pick(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return buf[np.repeat(keep, np.diff(edges))]
 
 
-def _header_text(buf, starts, ends, nl) -> tuple[np.ndarray, np.ndarray]:
-    """Each header line's text after its first byte, followed by its newline,
-    and the offsets."""
-    lo = np.stack([starts + 1, nl], axis=1).ravel()
-    hi = np.stack([ends, nl + 1], axis=1).ravel()
-    offsets = np.zeros(len(starts) + 1, dtype=np.int64)
-    np.cumsum(ends - starts, out=offsets[1:])
-    return _pick(buf, lo, hi), offsets
+def _line_text(buf, lo, ends, nl) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of each line from lo to its end, followed by its newline,
+    and the offsets: header lines pass their starts + 1, to drop the '>' or
+    '@', and FASTQ sequence lines their starts."""
+    offsets = np.zeros(len(lo) + 1, dtype=np.int64)
+    np.cumsum(ends - lo + 1, out=offsets[1:])
+    spans = np.stack([lo, nl], axis=1).ravel(), np.stack([ends, nl + 1], axis=1).ravel()
+    return _pick(buf, *spans), offsets
 
 
 def _fasta_chunk(buf: np.ndarray, eof: bool, one: bool) -> tuple[ReadBatch, int]:
@@ -118,54 +118,8 @@ def _fasta_chunk(buf: np.ndarray, eof: bool, one: bool) -> tuple[ReadBatch, int]
     seq = np.append(_pick(buf, lo, hi)[1:], np.uint8(_NL))
     offsets = np.zeros(len(heads) + 1, dtype=np.int64)
     np.cumsum(np.add.reduceat(hi - lo, heads - heads[0]), out=offsets[1:])  # bases + 1 each
-    headers = _header_text(buf, starts[heads], ends[heads], nl[heads])
+    headers = _line_text(buf, starts[heads] + 1, ends[heads], nl[heads])
     return ReadBatch(0, seq, offsets, *headers), int(nl[stop - 1]) + 1
-
-
-class _NeedMore(Exception):
-    """The lines end inside a record, and more of the file follows."""
-
-
-def _iter_fastq(lines: list[bytes], eof: bool, path: str, line_no: int, next_id: int):
-    """(lines taken, header, sequence) of each FASTQ record in lines, which
-    hold no line ends; line_no lines and next_id reads come before them.
-    Blank lines between records are skipped and the quality may span lines.
-    Raises _NeedMore where the lines run out before eof."""
-    i = 0
-
-    def readline() -> bytes | None:  # None at the end of the file
-        nonlocal i
-        if i == len(lines):
-            if not eof:
-                raise _NeedMore
-            return None
-        i += 1
-        return lines[i - 1]
-
-    while (header := readline()) is not None:
-        if not header:
-            continue  # blank lines between records, as FASTA allows
-        if not header.startswith(b"@"):
-            raise SequenceFormatError(f"{path}:{line_no + i}: expected '@' record header")
-        seq = readline() or b""
-        plus = readline()
-        if plus is None or not plus.startswith(b"+"):
-            raise SequenceFormatError(f"{path}:{line_no + i}: expected '+' separator line")
-        # quality may contain '@' or '+': match it to the sequence length
-        qual = 0
-        while qual < len(seq):
-            qline = readline()
-            if qline is None:
-                raise SequenceFormatError(
-                    f"{path}:{line_no + i}: truncated quality for read {next_id}"
-                )
-            qual += len(qline)
-        if qual != len(seq):
-            raise SequenceFormatError(
-                f"{path}:{line_no + i}: quality/sequence length mismatch for read {next_id}"
-            )
-        yield i, header[1:], seq
-        next_id += 1
 
 
 class _Unread:
@@ -183,8 +137,11 @@ class ReadStream:
     """Single-consumer iterator of ReadBatches, one per parsing step (see
     _chunks), so a batch holds at most BLOCK_BYTES of the file or a single
     read; format auto-detected from the first byte ('>' FASTA, '@' FASTQ).
-    Ids are consecutive from 0 and stable across re-opens of the same file,
-    and batch boundaries depend only on the file's bytes and BLOCK_BYTES."""
+    Both formats are cut from the step's numpy line table (_lines): FASTA
+    by masks over it, FASTQ by one loop over its lines' lengths and first
+    bytes, and the columns of both by _line_text. Ids are consecutive from
+    0 and stable across re-opens of the same file, and batch boundaries
+    depend only on the file's bytes and BLOCK_BYTES."""
 
     def __init__(self, path: str | Path):
         self.path = str(path)
@@ -244,24 +201,48 @@ class ReadStream:
                 size *= 2
 
     def _fastq_chunk(self, buf: np.ndarray, eof: bool, one: bool) -> tuple[ReadBatch, int]:
-        """The FASTQ records that end in buf, read by _iter_fastq (with one,
-        only the first), and the bytes they take."""
-        data = buf.tobytes()
-        lines = data.split(b"\n")[:-1]  # data ends in a newline
-        if b"\r" in data:
-            lines = [line.rstrip(b"\r") for line in lines]
-        taken, headers, seqs = 0, [], []
-        try:
-            for taken, header, seq in _iter_fastq(lines, eof, self.path, self._line_no, self._reads):
-                headers.append(header)
-                seqs.append(seq)
-                if one:
-                    break
-        except _NeedMore:
-            pass
-        self._line_no += taken
-        used = int(np.flatnonzero(buf == _NL)[taken - 1]) + 1 if taken else 0
-        return ReadBatch(0, *_columns(seqs), *_columns(headers)), used
+        """The FASTQ records that end in buf, whole lines from a record start
+        (with one, only the first), and the bytes they take. Blank lines
+        before a header line are skipped; then come the sequence line, a '+'
+        line, and quality lines, which may start with '@' or '+', until they
+        hold as many bytes as the sequence. The records stop before one that
+        buf does not finish, unless the file ends there: then, as wherever a
+        rule is broken, SequenceFormatError names the file, line and read."""
+        starts, ends, nl = _lines(buf)
+        size, first = (ends - starts).tolist(), buf[starts].tolist()
+        heads, end, n = [], 0, len(size)  # end: the line after the last record
+
+        def error(line: int, problem: str) -> SequenceFormatError:
+            return SequenceFormatError(f"{self.path}:{self._line_no + line}: {problem}")
+
+        while not (one and heads):
+            at = end
+            while at < n and not size[at]:
+                at += 1
+            if at == n:
+                break
+            if first[at] != _AT:
+                raise error(at + 1, "expected '@' record header")
+            if at + 2 >= n and not eof:
+                break
+            if at + 2 >= n or first[at + 2] != _PLUS:
+                raise error(min(at + 3, n), "expected '+' separator line")
+            want, qual, line = size[at + 1], 0, at + 3
+            while qual < want and line < n:
+                qual += size[line]
+                line += 1
+            if qual < want and not eof:
+                break
+            if qual != want:  # line is n where the quality is cut short
+                problem = "truncated quality" if qual < want else "quality/sequence length mismatch"
+                raise error(line, f"{problem} for read {self._reads + len(heads)}")
+            heads.append(at)
+            end = line
+        self._line_no += end
+        heads = np.array(heads, dtype=np.int64)
+        seqs = _line_text(buf, starts[heads + 1], ends[heads + 1], nl[heads + 1])
+        headers = _line_text(buf, starts[heads] + 1, ends[heads], nl[heads])
+        return ReadBatch(0, *seqs, *headers), int(nl[end - 1]) + 1 if end else 0
 
 
 def read_batches(reads: str | Path | list[str]) -> Iterator[ReadBatch]:

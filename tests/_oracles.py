@@ -35,6 +35,44 @@ def fasta_records(data: bytes) -> list[tuple[int, bytes, bytes]]:
     return records
 
 
+def fastq_records(data: bytes, path: str) -> list[tuple[int, bytes, bytes]]:
+    """(id, sequence, header) of each FASTQ record, by a loop over its lines:
+    blank lines before a header are skipped, and the quality, which may
+    start with '@' or '+', takes lines until it is as long as the sequence.
+    A broken rule raises ValueError naming path and the 1-based number of
+    the last line read."""
+    lines = file_lines(data)
+    records = []
+    i = 0
+
+    def readline() -> bytes | None:  # None at the end of the file
+        nonlocal i
+        if i == len(lines):
+            return None
+        i += 1
+        return lines[i - 1]
+
+    while (header := readline()) is not None:
+        if not header:
+            continue
+        if not header.startswith(b"@"):
+            raise ValueError(f"{path}:{i}: expected '@' record header")
+        seq = readline() or b""
+        plus = readline()
+        if plus is None or not plus.startswith(b"+"):
+            raise ValueError(f"{path}:{i}: expected '+' separator line")
+        qual = 0
+        while qual < len(seq):
+            qline = readline()
+            if qline is None:
+                raise ValueError(f"{path}:{i}: truncated quality for read {len(records)}")
+            qual += len(qline)
+        if qual != len(seq):
+            raise ValueError(f"{path}:{i}: quality/sequence length mismatch for read {len(records)}")
+        records.append((len(records), seq, header[1:]))
+    return records
+
+
 def code_of(kmer: str) -> int:
     """Base-4 number of an ACGT string, first base most significant."""
     return int(kmer.translate(str.maketrans("ACGT", "0123")), 4)

@@ -178,6 +178,47 @@ def test_link_sidecar_writes_header_bytes(tmp_path):
     assert sidecar.read_bytes() == b"0\tr0 caf\xc3\xa9\n1\tr1 caf\xe9\n"
 
 
+def _read_set_forms(tmp_path, seqs) -> list[Path]:
+    """One read set as FASTA, as FASTQ with CRLF line ends and every third
+    quality over two lines, and as that FASTQ gzipped."""
+    fasta, fastq, fastq_gz = tmp_path / "reads.fa", tmp_path / "reads.fq", tmp_path / "reads.fq.gz"
+    write_fasta(fasta, seqs)
+    records = []
+    for i, seq in enumerate(seqs):
+        cut = len(seq) // 2 if i % 3 == 0 else len(seq)
+        quals = [q for q in ("I" * cut, "5" * (len(seq) - cut)) if q]
+        records.append("\r\n".join([f"@read{i}", seq, "+", *quals, ""]))
+    fastq.write_bytes("".join(records).encode())
+    fastq_gz.write_bytes(gzip.compress(fastq.read_bytes()))
+    return [fasta, fastq, fastq_gz]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_fasta_and_fastq_give_the_same_outputs(bank, tmp_path, monkeypatch, threads):
+    # each form of one read set, as bank and as query, gives the same index,
+    # count (one-shot and --index) and link output bytes, sidecar included;
+    # small blocks end batches inside records
+    _, seqs = bank
+    monkeypatch.setattr(seqio, "BLOCK_BYTES", 512)
+    outputs = []
+    for reads in _read_set_forms(tmp_path, seqs):
+        out = tmp_path / reads.name.replace(".", "_")
+        out.mkdir()
+        query = ["-q", str(reads), "--threads", threads, "-o"]
+        runs = [
+            ["index", "-b", str(reads), "-t", "1", "-o", str(out / "bank.idx")],
+            ["count", "--index", str(out / "bank.idx"), *query, str(out / "reused.tsv")],
+            ["count", "-b", str(reads), "-t", "1", *query, str(out / "count.tsv")],
+            ["link", "-b", str(reads), "-t", "1", "--sidecar", str(out / "map.tsv"), *query, str(out / "link.txt")],
+        ]
+        for args in runs:
+            assert main(args) == 0, args
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(outputs[0]) == 5 and outputs[0]["map.tsv"].startswith(b"0\tread0\n")
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
 def _truncated_query(tmp_path, monkeypatch):
     """A query FASTQ whose last record is cut short, read in small batches so
     that earlier batches are written before the run fails."""
@@ -739,10 +780,18 @@ def test_sigterm_unwinds_the_run(tmp_path, phase, threads):
     # 128 + 15, no temp file or spill left, no partial output, no worker alive
     proc, spill, out = _start_link(tmp_path, threads)
 
+    seen = {"most": 0, "last": 0, "fell": False}
+
     def ready() -> bool:
-        if phase == "build":  # the id table file is being written
-            return any(p.name.startswith("src_link_ids_") for p in spill.iterdir())
-        return _querying(proc, out, threads)
+        if phase == "query":
+            return _querying(proc, out, threads)
+        # the id table is being written: the files open under --tmp-dir
+        # rise again once solid counting's spill files have closed
+        n = _files_open_under(proc.pid, spill)
+        rose = seen["fell"] and n > seen["last"]
+        seen["fell"] |= n < seen["most"]
+        seen["most"], seen["last"] = max(seen["most"], n), n
+        return rose
 
     workers = []
     try:
@@ -807,6 +856,23 @@ def test_sigkill_leaves_no_spill(tmp_path):
     proc = subprocess.Popen(**_src_command(*args))
     try:
         _wait_for(proc, lambda: _files_open_under(proc.pid, spill) == 64)
+        proc.kill()
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert list(spill.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.isdir(f"/proc/{os.getpid()}/fd"), reason="needs /proc/<pid>/fd")
+def test_sigkill_leaves_no_id_table(tmp_path):
+    # a link --mode disk killed while it queries its id table leaves nothing
+    # under --tmp-dir: the table's file never had a name
+    proc, spill, out = _start_link(tmp_path, "1")
+    try:
+        _wait_for(proc, lambda: _querying(proc, out, "1"))
+        assert _files_open_under(proc.pid, spill) == 1
         proc.kill()
         assert proc.wait(timeout=60) == -signal.SIGKILL
     finally:

@@ -1,6 +1,6 @@
 import os
-import re
 import sys
+import tempfile
 import threading
 
 import numpy as np
@@ -53,6 +53,11 @@ def _disk_index(bank, k, t, f, tmp_dir=None):
 
 def _link(bank, query, k, t, f, out, **kwargs):
     run_src_linker(build_bank_index(bank, k, t, f)[0], bank, query, out, **kwargs)
+
+
+def _file_words(disk):
+    """The uint32 words of a disk table's file, read through its descriptor."""
+    return np.frombuffer(os.pread(disk._fd, os.fstat(disk._fd).st_size, 0), dtype=np.uint32)
 
 
 def test_single_read_hand_trace():
@@ -161,7 +166,7 @@ def test_link_batch_matches_oracle():
 def test_disk_block_hand_trace(tmp_path):
     qd, disk = _disk_index(["AAAAAA"], k=3, t=1, f=6, tmp_dir=str(tmp_path))
     try:
-        raw = np.fromfile(disk.path, dtype=np.uint32)
+        raw = _file_words(disk)
         # one block: read 0 once (4 occurrences), as the RAM table holds it
         assert raw.tolist() == [0]
         assert _ids(disk, np.array([0])).tolist() == [0]
@@ -173,7 +178,7 @@ def test_disk_empty_bank(tmp_path):
     qd, disk = _disk_index([], k=3, t=1, f=6, tmp_dir=str(tmp_path))
     try:
         assert qd.n_keys == 0
-        assert np.fromfile(disk.path, dtype=np.uint32).size == 0
+        assert _file_words(disk).size == 0
     finally:
         disk.close()
 
@@ -232,23 +237,25 @@ def test_disk_get_checks_blocks(tmp_path, damage):
         slots = np.arange(qd.n_keys)
         disk.get(slots)  # intact
         if damage == "grown":
-            with open(disk.path, "ab") as fh:
-                fh.write(np.uint32(7).tobytes())
+            os.pwrite(disk._fd, np.uint32(7).tobytes(), os.fstat(disk._fd).st_size)
         else:
-            os.truncate(disk.path, 4 * int(disk.offsets[qd.n_keys // 2]))
+            os.ftruncate(disk._fd, 4 * int(disk.offsets[qd.n_keys // 2]))
             slots = slots[: qd.n_keys // 2]
-        with pytest.raises(IOError, match=re.escape(disk.path)):
+        with pytest.raises(IOError, match="link id table file is"):
             disk.get(slots)
     finally:
         disk.close()
 
 
-def _write_disk_table(path, blocks):
-    """A DiskIdTable over the given per-slot id lists, in the table's file layout."""
-    np.array(sum(blocks, []), dtype=np.uint32).tofile(path)
+def _write_disk_table(tmp_dir, blocks):
+    """A DiskIdTable over the given per-slot id lists, in the table's file
+    layout, in an unnamed temp file under tmp_dir."""
+    file = tempfile.TemporaryFile(dir=tmp_dir)
+    file.write(np.array(sum(blocks, []), dtype=np.uint32).tobytes())
+    file.flush()
     offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
     np.cumsum([len(ids) for ids in blocks], out=offsets[1:])
-    return linker.DiskIdTable(offsets, str(path))
+    return linker.DiskIdTable(offsets, file)
 
 
 def _greedy_reference(k, blocks, read_ids, reads, positions, slots, min_shared, exclude_self):
@@ -294,7 +301,7 @@ def test_similarity_wide_fields(tmp_path, kind):
         np.cumsum([len(b) for b in blocks], out=offsets[1:])
         table = ReadIdTable(offsets, np.array(sum(blocks, []), dtype=np.uint32))
     else:
-        table = _write_disk_table(tmp_path / "ids.bin", blocks)
+        table = _write_disk_table(tmp_path, blocks)
     try:
         for min_shared, exclude_self in ((1, False), (2, True)):
             got = linker._similarity(
@@ -487,7 +494,7 @@ def test_disk_file_holds_ram_ids(tmp_path, monkeypatch, bank_kind):
     ram = ReadIdTable.build(qd, bank)
     disk = _build_disk_table(qd, bank, str(tmp_path))
     try:
-        assert np.array_equal(np.fromfile(disk.path, np.uint32), ram.ids)
+        assert np.array_equal(_file_words(disk), ram.ids)
         assert np.array_equal(disk.offsets, ram.offsets)
         assert len(ram.offsets) == qd.n_keys + 1
         assert (len(ram.ids) > qd.n_keys) == (bank_kind == "multi-batch")
@@ -517,8 +524,7 @@ def test_disk_table_parts_split_inside_a_slot(tmp_path, monkeypatch, cuts):
     split = _build_disk_table(qd, bank, str(tmp_path))
     try:
         assert len(parts) == cuts + 2
-        with open(whole.path, "rb") as a, open(split.path, "rb") as b:
-            assert a.read() == b.read()
+        assert np.array_equal(_file_words(whole), _file_words(split))
         assert np.array_equal(split.offsets, whole.offsets)
     finally:
         whole.close()
@@ -531,7 +537,7 @@ def test_bank_must_fit_id_table(tmp_path, monkeypatch, capsys, n_reads):
     bank = tmp_path / "bank.fa"
     write_fasta(bank, random_reads(np.random.default_rng(12), n_reads, 60))
     qd = build_bank_index(bank, 31, 1, 12)[0]
-    monkeypatch.setattr(linker, "_SLOT_DTYPE", np.uint8)
+    monkeypatch.setattr(linker, "_ID_DTYPE", np.uint8)
     spill = tmp_path / "spill"
     spill.mkdir()
     if n_reads <= 256:  # both builds succeed, and the disk table reads back uint8 words
@@ -554,6 +560,27 @@ def test_bank_must_fit_id_table(tmp_path, monkeypatch, capsys, n_reads):
                 "--tmp-dir", str(spill), "-o", str(tmp_path / "out.txt")]
         assert main(args) == 2
         assert "more than 256 reads" in capsys.readouterr().err
+    assert list(spill.iterdir()) == []
+
+
+def test_pair_keys_must_fit_slot_bits(tmp_path):
+    # a pair key holds the slot in its 32 high bits, so both tables refuse a
+    # dictionary of more than 2^32 k-mers before anything sized by it is
+    # allocated or any bank read is looked up
+    class Huge:
+        n_keys = 2**32 + 1
+
+        def lookup(self, batch):
+            pytest.fail("the bank was looked up")
+
+    bank = tmp_path / "bank.fa"
+    write_fasta(bank, ["ACGT" * 10])
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    with pytest.raises(ValueError, match=r"more than the 2\^32"):
+        ReadIdTable.build(Huge(), bank)
+    with pytest.raises(ValueError, match=r"more than the 2\^32"):
+        _build_disk_table(Huge(), bank, str(spill))
     assert list(spill.iterdir()) == []
 
 
