@@ -1,6 +1,8 @@
 """Command line front end: src {index,count,link,bench}."""
 
 import argparse
+import ctypes
+import functools
 import math
 import os
 import signal
@@ -14,7 +16,7 @@ from .kmers import DEFAULT_MEMORY_BUDGET, MAX_K
 from .linker import DEFAULT_MIN_SHARED, run_src_linker
 from .mphf import DEFAULT_GAMMA, DEFAULT_MASTER_SEED
 from .quasidict import build_bank_index, load_index
-from .seqio import STOP_SIGNALS
+from .seqio import BLOCK_BYTES, STOP_SIGNALS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -287,6 +289,28 @@ _COMMANDS = {
 }
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, from glibc's malloc.h
+
+
+@functools.cache
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's malloc thresholds for this process, once, and so for the
+    workers it forks. A block of 8 * BLOCK_BYTES (1 MiB) or more, above a
+    batch's largest temporary of one uint64 per base, is mapped and unmapped
+    on free; this stops glibc's dynamic threshold from drifting up to the
+    largest array ever freed. Free heap at the top is kept up to 16 MiB, above
+    a batch's whole working set of about 52 bytes per base, so each batch
+    reuses the pages of the one before instead of faulting them in again.
+    Does nothing where the C library has no mallopt (macOS, Windows)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # TypeError: Windows loads no library named None
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 8 * BLOCK_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
+
+
 def _stop(signum, frame):
     raise SystemExit(128 + signum)
 
@@ -296,7 +320,9 @@ def main(argv=None) -> int:
     SystemExit(128 + signum) while it runs, so the run unwinds and cleans up
     temp files, partial outputs and workers; a signal the caller ignores (a
     run under nohup) stays ignored. The caller's handlers are restored
-    before main returns. Call it from the main thread."""
+    before main returns. Call it from the main thread. The first call pins
+    the process's malloc thresholds (_pin_malloc_thresholds)."""
+    _pin_malloc_thresholds()
     parser = build_parser()
     previous = {
         sig: signal.signal(sig, _stop) for sig in STOP_SIGNALS if signal.getsignal(sig) is not signal.SIG_IGN

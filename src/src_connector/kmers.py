@@ -6,6 +6,8 @@ and the canonical form is a plain minimum with the reverse complement.
 k is capped at 31 so a code always fits 62 bits.
 """
 
+import mmap
+import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -152,44 +154,94 @@ def _solid_runs(part: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray, int]:
     return np.concatenate(codes), np.concatenate(counts), n_distinct
 
 
+# Windows has no mmap flags: its anonymous mappings are private already
+_ANONYMOUS = {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS} if hasattr(mmap, "MAP_ANONYMOUS") else {}
+
+
+def _mapping(nbytes: int) -> mmap.mmap:
+    """At least nbytes of zeroed memory on an anonymous mapping of its own,
+    outside malloc's heap: it is unmapped, and its pages go back to the
+    system, as soon as nothing refers to it (an np.frombuffer array does)."""
+    return mmap.mmap(-1, max(nbytes, mmap.PAGESIZE), **_ANONYMOUS)
+
+
+def _grown(buf: mmap.mmap, nbytes: int) -> mmap.mmap:
+    """buf, or a mapping that holds its bytes, with room for nbytes or twice
+    its size. Linux moves the pages with mremap; where there is no mremap
+    (macOS), resize raises SystemError and the bytes are copied, so buf and
+    its copy are briefly held together. No view of buf may be alive."""
+    size = max(nbytes, 2 * len(buf))
+    try:
+        buf.resize(size)
+        return buf
+    except SystemError:
+        grown = _mapping(size)
+        grown[: len(buf)] = buf
+        return grown
+
+
+def _spill(keys: np.ndarray, parts: list, key_bits: int) -> None:
+    """Sort keys in place and append each of its 64 ranges by top 6 bits to
+    its partition file."""
+    keys.sort()
+    bounds = np.arange(1, len(parts), dtype=U64) << U64(max(0, key_bits - 6))
+    for f, part in zip(parts, np.split(keys, np.searchsorted(keys, bounds))):
+        f.write(part)
+
+
+def _read_part(f) -> np.ndarray:
+    """A partition file's keys, sorted, on a mapping of their own. f is
+    closed, and its space freed, once it is read."""
+    nbytes = f.seek(0, os.SEEK_END)
+    f.seek(0)
+    buf = _mapping(nbytes)
+    f.readinto(buf)
+    f.close()
+    keys = np.frombuffer(buf, U64, nbytes // 8)
+    keys.sort()
+    return keys
+
+
 def sorted_keys(
     batches: Iterable[np.ndarray], key_bits: int, memory_budget: int, tmp_dir: str | None
 ) -> Iterator[np.ndarray]:
     """Every uint64 key of batches (each below 2^key_bits), ascending, as
     consecutive sorted arrays: one in-memory array or, once the keys pass
     memory_budget bytes, one per range partition by the keys' top 6 bits.
+
+    The keys are appended to one buffer on a mapping of its own (_mapping),
+    not to malloc's heap. In memory the buffer is sorted in place and
+    yielded. Once the next batch would take it past memory_budget bytes,
+    the buffer is sorted, split into the 64 partitions and refilled, so it
+    holds at most memory_budget bytes or one batch. Each array yielded is on
+    a mapping of its own, unmapped as soon as the caller drops it.
+
     The 64 partitions are unnamed temp files under tmp_dir, so the system
     frees them however the run ends; each is closed, and its space freed,
     once it is read back, before it is yielded."""
-    chunks: list[np.ndarray] = []
-    buffered = 0
+    buf, n = _mapping(0), 0  # n keys filled
     parts: list = []
     try:
-        for keys in batches:
-            chunks.append(keys)
-            buffered += keys.nbytes
-            if buffered > memory_budget:
+        for batch in batches:
+            if 8 * (n + len(batch)) > memory_budget:
                 parts = parts or [tempfile.TemporaryFile(dir=tmp_dir) for _ in range(64)]
-                bounds = np.arange(1, len(parts), dtype=U64) << U64(max(0, key_bits - 6))
-                while chunks:
-                    keys = np.sort(chunks.pop())
-                    for f, part in zip(parts, np.split(keys, np.searchsorted(keys, bounds))):
-                        f.write(part.tobytes())
+                _spill(np.frombuffer(buf, U64, n), parts, key_bits)
+                n = 0
+            if 8 * (n + len(batch)) > len(buf):
+                buf = _grown(buf, 8 * (n + len(batch)))
+            np.frombuffer(buf, U64, len(batch), 8 * n)[:] = batch
+            n += len(batch)
+        batch = None  # the last batch is not held while the keys are sorted
+        keys = np.frombuffer(buf, U64, n)
+        del buf  # keys now holds the mapping alone
         if not parts:
-            keys = np.empty(sum(map(len, chunks)), dtype=U64)
-            end = len(keys)
-            while chunks:  # last chunk first, each freed once copied
-                start = end - len(chunks[-1])
-                keys[start:end] = chunks.pop()
-                end = start
             keys.sort()
             yield keys
+            return
+        _spill(keys, parts, key_bits)
+        del keys  # unmaps the buffer before the partitions are read
         for f in parts:
-            f.seek(0)
-            keys = np.fromfile(f, dtype=U64)
-            f.close()
-            keys.sort()
-            yield keys
+            yield _read_part(f)
     finally:
         for f in parts:
             f.close()
@@ -208,13 +260,14 @@ def count_solid_kmers(
     files under tmp_dir once they pass memory_budget bytes; no spill file
     outlives the call, however it ends. So the build holds 8 bytes
     per buffered k-mer occurrence, up to memory_budget (or one spilled
-    partition), plus per-slice temporaries: _solid_runs selects the solid
-    codes KEY_CHUNK occurrences at a time, and only the solid codes and
-    counts, 16 bytes each, are kept. Reads are encoded one read_batches
-    batch at a time (a list is one batch), so for a file the encoder's
-    temporaries, about 52 bytes per base at k = 1 and 40 at k = 31 (100 bp
-    reads, tracemalloc), stay near 52 * seqio.BLOCK_BYTES unless a single
-    read is longer.
+    partition), on a mapping that goes back to the system once the solid
+    k-mers are selected from it, plus per-slice temporaries: _solid_runs
+    selects the solid codes KEY_CHUNK occurrences at a time, and only the
+    solid codes and counts, 16 bytes each, are kept. Reads are encoded one
+    read_batches batch at a time (a list is one batch), so for a file the
+    encoder's temporaries, about 52 bytes per base at k = 1 and 40 at k = 31
+    (100 bp reads, tracemalloc), stay near 52 * seqio.BLOCK_BYTES unless a
+    single read is longer.
     """
     _check_k(k)
     if t < 1:
@@ -230,6 +283,7 @@ def count_solid_kmers(
     n_distinct = 0
     for part in sorted_keys(map(codes, read_batches(reads)), 2 * k, memory_budget, tmp_dir):
         part_codes, part_counts, part_distinct = _solid_runs(part, t)
+        del part  # unmaps its 8 bytes per occurrence before the next part or the concatenation
         solid_codes.append(part_codes)
         solid_counts.append(part_counts)
         n_distinct += part_distinct

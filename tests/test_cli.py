@@ -1,3 +1,5 @@
+import ctypes
+import functools
 import gzip
 import io
 import multiprocessing
@@ -8,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
@@ -59,6 +62,43 @@ def test_count_end_to_end(bank, tmp_path):
     )
     assert code == 0
     assert parse_counter_output(out) == counter_records(seqs, seqs, 31, 1)
+
+
+@pytest.fixture
+def fresh_pin(monkeypatch):
+    """cli._pin_malloc_thresholds as if this process had not run it, and
+    the calls made to a stand-in C library: mallopt is recorded unless
+    the test deletes it."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    libc = types.SimpleNamespace(mallopt=mallopt)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    monkeypatch.setattr(cli, "_pin_malloc_thresholds", functools.cache(cli._pin_malloc_thresholds.__wrapped__))
+    return libc, calls
+
+
+def test_malloc_thresholds_pinned_once(fresh_pin, capsys):
+    _, calls = fresh_pin
+    assert main(["--version"]) == 0
+    assert main(["--version"]) == 0
+    assert calls == [(-3, 8 * seqio.BLOCK_BYTES), (-1, 16 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+def test_run_without_mallopt(bank, tmp_path, fresh_pin):
+    path, _ = bank
+    args = ["count", "-b", str(path), "-q", str(path), "-t", "1", "--threads", "2", "-o"]
+    libc, calls = fresh_pin
+    assert main(args + [str(tmp_path / "pinned.tsv")]) == 0
+    assert len(calls) == 2
+    cli._pin_malloc_thresholds.cache_clear()
+    del libc.mallopt  # a C library without mallopt (macOS)
+    assert main(args + [str(tmp_path / "unpinned.tsv")]) == 0
+    assert len(calls) == 2
+    assert (tmp_path / "unpinned.tsv").read_bytes() == (tmp_path / "pinned.tsv").read_bytes()
 
 
 def test_link_exact_matches_oracle(bank, tmp_path):

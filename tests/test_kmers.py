@@ -1,3 +1,5 @@
+import mmap
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from src_connector import kmers, seqio
+from src_connector.bench import run_isolated
 from src_connector.kmers import (
     SolidKmerSet,
     _solid_runs,
@@ -19,6 +22,7 @@ from src_connector.kmers import (
 )
 from src_connector.seqio import BankDigest, ReadBatch, SequenceFormatError
 
+from _accept_workers import rss_around_counting_worker
 from _datagen import random_reads, write_fasta
 from _oracles import canon_str, code_of, count_kmers, kmer_of, kmer_windows, revcomp_str
 
@@ -294,6 +298,55 @@ def test_sorted_keys_closes_each_partition_once_yielded(tmp_path, spill_files):
         assert part.tolist() == [2 * i, 2 * i + 1]
         assert [f.closed for f in spill_files] == [j <= i for j in range(64)]
     assert i == 63
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, 1300), max_size=6),  # the buffer starts at a page, 512 keys, and doubles
+    key_bits=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_sorted_keys_is_sort_of_all_batches(sizes, key_bits, seed, data):
+    rng = np.random.default_rng(seed)
+    batches = [rng.integers(0, 2**key_bits, n, dtype=U64) for n in sizes]
+    # budgets that spill before, at and after each batch, spill at once, or never
+    ends = 8 * np.cumsum([0, *sizes])
+    budget = data.draw(st.sampled_from(sorted({0, 1 << 62, *ends.tolist(), *(ends - 1).clip(0).tolist()})))
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        got = [part.copy() for part in sorted_keys(iter(batches), key_bits, budget, tmp_dir)]
+        assert os.listdir(tmp_dir) == []
+    assert len(got) == (64 if ends[-1] > budget else 1)
+    want = np.sort(np.concatenate([np.empty(0, dtype=U64), *batches]))
+    assert np.array_equal(np.concatenate(got), want)
+    if len(got) == 64:  # partition i holds the keys whose top 6 of key_bits are i
+        shift = U64(max(0, key_bits - 6))
+        assert all(((part >> shift) == i).all() for i, part in enumerate(got))
+
+
+def test_buffer_grows_by_copy_without_mremap():
+    class NoMremap(mmap.mmap):  # as on macOS, where resize cannot move the pages
+        def resize(self, size):
+            raise SystemError("mmap: resizing not available--no mremap()")
+
+    buf = NoMremap(-1, mmap.PAGESIZE, **kmers._ANONYMOUS)
+    buf[:5] = b"keys!"
+    grown = kmers._grown(buf, 3 * mmap.PAGESIZE)
+    assert len(grown) == 3 * mmap.PAGESIZE and grown[:5] == b"keys!"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS from /proc")
+def test_counting_returns_its_memory(tmp_path):
+    """Once the result is dropped, the process holds no more than before:
+    the 37 MiB of occurrence codes were buffered on a mapping, which goes
+    back to the system, not in malloc's heap, which may keep the pages."""
+    rng = np.random.default_rng(12)
+    reads = np.frombuffer(b"ACGT", dtype=np.uint8)[rng.integers(0, 4, (40_000, 151))]
+    reads[:, -1] = ord("\n")  # 40 000 distinct 150 bp reads: 4.8 M 31-mers, none solid
+    bank = tmp_path / "bank.fa"
+    bank.write_bytes(b"".join(b">r\n" + row.tobytes() for row in reads))
+    before, after = run_isolated(rss_around_counting_worker, str(bank), 31)
+    assert after - before < 4 << 20, (before, after)
 
 
 def test_invalid_parameters():
