@@ -134,9 +134,10 @@ def _solid_runs(part: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray, int]:
     run's count is the distance to the next start; the slice's last run may
     go on past the slice, so its end is found by one searchsorted. So no
     temporary is as long as part or as its distinct codes: each is bounded
-    by one slice or by the solid output.
+    by one slice. The solid codes and counts are appended to mappings of
+    their own (_put), so none of them lands in malloc's heap.
     """
-    codes, counts = [np.empty(0, dtype=U64)], [np.empty(0, dtype=U64)]
+    codes, counts, n = _mapping(0), _mapping(0), 0  # n solid codes put
     n_distinct = 0
     for lo in range(0, len(part), KEY_CHUNK):
         block = part[lo : lo + KEY_CHUNK]
@@ -149,9 +150,10 @@ def _solid_runs(part: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray, int]:
         n_distinct += len(bounds) - 1
         lengths = np.diff(bounds)
         solid = np.flatnonzero(lengths >= t)
-        codes.append(block[bounds[solid]])
-        counts.append(lengths[solid].astype(U64))
-    return np.concatenate(codes), np.concatenate(counts), n_distinct
+        codes = _put(codes, n, block[bounds[solid]])
+        counts = _put(counts, n, lengths[solid])
+        n += len(solid)
+    return np.frombuffer(codes, U64, n), np.frombuffer(counts, U64, n), n_distinct
 
 
 # Windows has no mmap flags: its anonymous mappings are private already
@@ -178,6 +180,21 @@ def _grown(buf: mmap.mmap, nbytes: int) -> mmap.mmap:
         grown = _mapping(size)
         grown[: len(buf)] = buf
         return grown
+
+
+def _put(buf: mmap.mmap, n: int, values: np.ndarray) -> mmap.mmap:
+    """buf, grown by _grown if it is too small, with values written as its
+    uint64 words n, n + 1, ... No view of buf may be alive."""
+    if 8 * (n + len(values)) > len(buf):
+        buf = _grown(buf, 8 * (n + len(values)))
+    np.frombuffer(buf, U64, len(values), 8 * n)[:] = values
+    return buf
+
+
+def _concatenated(parts: list[np.ndarray]) -> np.ndarray:
+    """The uint64 arrays of parts laid end to end, on a mapping of their own."""
+    n = sum(map(len, parts))
+    return np.concatenate(parts, out=np.frombuffer(_mapping(8 * n), U64, n))
 
 
 def _spill(keys: np.ndarray, parts: list, key_bits: int) -> None:
@@ -227,9 +244,7 @@ def sorted_keys(
                 parts = parts or [tempfile.TemporaryFile(dir=tmp_dir) for _ in range(64)]
                 _spill(np.frombuffer(buf, U64, n), parts, key_bits)
                 n = 0
-            if 8 * (n + len(batch)) > len(buf):
-                buf = _grown(buf, 8 * (n + len(batch)))
-            np.frombuffer(buf, U64, len(batch), 8 * n)[:] = batch
+            buf = _put(buf, n, batch)
             n += len(batch)
         batch = None  # the last batch is not held while the keys are sorted
         keys = np.frombuffer(buf, U64, n)
@@ -263,11 +278,12 @@ def count_solid_kmers(
     partition), on a mapping that goes back to the system once the solid
     k-mers are selected from it, plus per-slice temporaries: _solid_runs
     selects the solid codes KEY_CHUNK occurrences at a time, and only the
-    solid codes and counts, 16 bytes each, are kept. Reads are encoded one
-    read_batches batch at a time (a list is one batch), so for a file the
-    encoder's temporaries, about 52 bytes per base at k = 1 and 40 at k = 31
-    (100 bp reads, tracemalloc), stay near 52 * seqio.BLOCK_BYTES unless a
-    single read is longer.
+    solid codes and counts, 16 bytes each, are kept, on mappings of their
+    own, so they too go back to the system once the result is dropped.
+    Reads are encoded one read_batches batch at a time (a list is one
+    batch), so for a file the encoder's temporaries, about 52 bytes per base
+    at k = 1 and 40 at k = 31 (100 bp reads, tracemalloc), stay near
+    52 * seqio.BLOCK_BYTES unless a single read is longer.
     """
     _check_k(k)
     if t < 1:
@@ -291,8 +307,8 @@ def count_solid_kmers(
     return SolidKmerSet(
         k=k,
         t=t,
-        codes=np.concatenate(solid_codes),
-        counts=np.concatenate(solid_counts),
+        codes=_concatenated(solid_codes),
+        counts=_concatenated(solid_counts),
         n_distinct_total=n_distinct,
         bank_digest=digest.digest(),
     )

@@ -10,8 +10,10 @@ temp file, which the system frees however the run ends.
 
 A batch's indexed k-mers, bank or query, come from one QuasiDictionary.lookup.
 A query batch makes one table lookup, which returns each indexed k-mer's run
-of ids (on disk, after a few coalesced positioned reads of at most
-_READ_BYTES each). The batch is then scored in ranges of reads of at most
+of ids (on disk, gathered through a read-only mapping of one _READ_BYTES
+window of the file at a time, so only the pages the blocks lie on are read;
+a table file that shrinks or whose storage fails mid-gather kills the
+process with SIGBUS). The batch is then scored in ranges of reads of at most
 KEY_CHUNK (read, target, position) rows, or one read alone when it has more:
 a range's rows are gathered from the runs, packed and sorted once, and
 every (read, target) pair's greedy count advances together. The scoring
@@ -19,6 +21,7 @@ temporaries are thus bounded by KEY_CHUNK, not by the batch's rows, which
 grow with bank coverage.
 """
 
+import mmap
 import os
 import sys
 import tempfile
@@ -36,8 +39,7 @@ from .seqio import BankDigest, ReadBatch, ordered_map, output_file, read_batches
 
 DEFAULT_MIN_SHARED = 2
 _ID_DTYPE = np.uint32  # read ids, in RAM and in the disk table's words
-_GAP_BYTES = 4096  # a disk gather reads through gaps up to this size between blocks
-_READ_BYTES = 1 << 20  # and buffers the blocks of one window of this size at a time
+_READ_BYTES = 1 << 20  # a disk gather maps the blocks of one window of this size at a time
 
 
 @dataclass
@@ -189,9 +191,11 @@ class DiskIdTable(_IdTable):
         """Each slot's ascending, distinct bank read ids, as runs of one
         array that holds each distinct slot's ids once.
 
-        Each distinct slot's block is read once, in file order: blocks less
-        than _GAP_BYTES apart share one pread, and a buffer holds the blocks
-        that start in one _READ_BYTES window of the file.
+        Each distinct block is read once, in file order: those that start in
+        one _READ_BYTES window are gathered from one read-only mapping of
+        their span, the only one alive, so the kernel reads just the pages
+        they lie on. A file that shrinks mid-gather, or failing storage,
+        kills the process with SIGBUS instead of raising IOError.
         """
         word = np.dtype(_ID_DTYPE).itemsize
         want = word * int(self.offsets[-1])
@@ -199,43 +203,19 @@ class DiskIdTable(_IdTable):
             raise IOError(f"link id table file is {size} bytes, not the {want} of its offsets")
         uniq, rank = np.unique(slots, return_inverse=True)  # rank: of each slot's block in uniq
         lo, n = self.blocks(uniq)
-        window = lo // (_READ_BYTES // word)
-        new_window = np.ones(len(uniq), dtype=bool)
-        new_window[1:] = window[1:] != window[:-1]
-        end = lo + n
-        new_run = new_window.copy()  # one pread per run of blocks
-        new_run[1:] |= word * (lo[1:] - end[:-1]) > _GAP_BYTES
-        run = np.cumsum(new_run) - 1
-        run_lo = lo[new_run]
-        run_len = np.maximum.reduceat(end, np.flatnonzero(new_run)) - run_lo  # end ascends
-        run_at = np.cumsum(run_len) - run_len  # in the runs laid end to end
-        at = run_at[run] + lo - run_lo[run]  # of each block, likewise
-        ids = np.empty(int(n.sum()), dtype=_ID_DTYPE)  # of uniq, in order
-        done = 0
-        starts = np.flatnonzero(new_window).tolist()
-        for b0, b1 in zip(starts, starts[1:] + [len(uniq)]):
-            r0, r1 = run[b0], run[b1 - 1] + 1
-            words = np.frombuffer(
-                b"".join(self._pread(run_lo[r], run_len[r]) for r in range(r0, r1)),
-                dtype=_ID_DTYPE,
-            )
-            got = _gather(words, at[b0:b1] - run_at[r0], n[b0:b1])
-            ids[done : done + len(got)] = got
-            done += len(got)
-        return IdRuns(ids, (np.cumsum(n) - n)[rank], n[rank])
-
-    def _pread(self, lo: int, words: int) -> bytes:
-        """Words lo:lo + words of the file, in positioned reads of at most
-        _READ_BYTES, so concurrent readers share no file position."""
-        word = np.dtype(_ID_DTYPE).itemsize
-        start, size = word * int(lo), word * int(words)
-        data = b"".join(
-            os.pread(self._fd, min(_READ_BYTES, size - i), start + i)
-            for i in range(0, size, _READ_BYTES)
-        )
-        if len(data) != size:
-            raise IOError("link id table file is truncated")
-        return data
+        full = np.flatnonzero(n)  # an empty block needs no bytes, nor its window a mapping
+        first = np.flatnonzero(np.diff(word * lo[full] // _READ_BYTES, prepend=-1)).tolist()
+        parts = [np.empty(0, dtype=_ID_DTYPE)]
+        for a, b in zip(first, first[1:] + [len(full)]):
+            blocks = full[a:b]
+            grain = mmap.ALLOCATIONGRANULARITY  # of a mapping's offset
+            start = word * int(lo[blocks[0]]) // grain * grain
+            end = word * int(lo[blocks[-1]] + n[blocks[-1]])
+            span = mmap.mmap(self._fd, end - start, offset=start, access=mmap.ACCESS_READ)
+            parts.append(_gather(np.frombuffer(span, _ID_DTYPE), lo[blocks] - start // word, n[blocks]))
+            del span  # its last reference, so it is unmapped before the next window is mapped
+        starts = np.cumsum(n) - n  # of each block of uniq in the parts laid end to end
+        return IdRuns(np.concatenate(parts), starts[rank], n[rank])
 
     def close(self) -> None:
         self._file.close()

@@ -164,7 +164,7 @@ def build_bank_index(
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
     tmp_dir: str | None = None,
 ) -> tuple[QuasiDictionary, SolidKmerSet]:
-    """Count the solid k-mers of a bank (path or iterable of reads) and index them.
+    """Count the solid k-mers of a bank (a path or a list of reads) and index them.
 
     The solid set comes back for callers that build a count table from it;
     others should drop it before building anything large.

@@ -21,11 +21,30 @@ def _vm_rss() -> int:
         return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmRSS:"))
 
 
-def rss_around_counting_worker(bank_path: str, k: int) -> tuple[int, int]:
-    """VmRSS before count_solid_kmers(bank_path, k, 2) and after its result is dropped."""
+def rss_around_counting_worker(bank_path: str, k: int, mmap_threshold: int = 0) -> tuple[int, int]:
+    """VmRSS before count_solid_kmers(bank_path, k, 2) and after its result
+    is dropped.
+
+    A non-zero mmap_threshold fixes glibc's, and the trim threshold at twice
+    it, as its dynamic rule leaves them once a library caller has freed an
+    array of that size: smaller arrays then land in the heap, which keeps up
+    to the trim threshold of free pages at its top. Reads are then parsed in
+    16 KiB blocks, so the encoder's heap temporaries, about 52 bytes per
+    base of a block, stay under 1 MiB, and what the heap keeps is not theirs.
+    """
     from src_connector.kmers import count_solid_kmers
 
     count_solid_kmers(["ACGT" * 10], k, 2)  # so the code it runs is paged in before
+    if mmap_threshold:
+        import ctypes
+
+        from src_connector import seqio
+        from src_connector.cli import _M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD
+
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(_M_MMAP_THRESHOLD, mmap_threshold)
+        mallopt(_M_TRIM_THRESHOLD, 2 * mmap_threshold)
+        seqio.BLOCK_BYTES = 1 << 14
     before = _vm_rss()
     solid = count_solid_kmers(bank_path, k, 2)
     del solid

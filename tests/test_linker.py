@@ -1,10 +1,14 @@
+import mmap
 import os
 import sys
 import tempfile
 import threading
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from src_connector import linker, seqio
 from src_connector.bitpack import KEY_CHUNK
@@ -247,6 +251,13 @@ def test_disk_get_checks_blocks(tmp_path, damage):
         disk.close()
 
 
+def _runs_table(blocks):
+    """The ReadIdTable of the given per-slot id lists."""
+    offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
+    np.cumsum([len(ids) for ids in blocks], out=offsets[1:])
+    return ReadIdTable(offsets, np.array(sum(blocks, []), dtype=np.uint32))
+
+
 def _write_disk_table(tmp_dir, blocks):
     """A DiskIdTable over the given per-slot id lists, in the table's file
     layout, in an unnamed temp file under tmp_dir."""
@@ -296,12 +307,7 @@ def test_similarity_wide_fields(tmp_path, kind):
         positions += (start + np.cumsum(rng.integers(0, 2 * k, n))).tolist()
     reads, positions = np.array(reads, dtype=np.int64), np.array(positions, dtype=np.int64)
     slots = rng.integers(0, len(blocks), len(reads))
-    if kind == "ram":
-        offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
-        np.cumsum([len(b) for b in blocks], out=offsets[1:])
-        table = ReadIdTable(offsets, np.array(sum(blocks, []), dtype=np.uint32))
-    else:
-        table = _write_disk_table(tmp_path, blocks)
+    table = _runs_table(blocks) if kind == "ram" else _write_disk_table(tmp_path, blocks)
     try:
         for min_shared, exclude_self in ((1, False), (2, True)):
             got = linker._similarity(
@@ -584,14 +590,13 @@ def test_pair_keys_must_fit_slot_bits(tmp_path):
     assert list(spill.iterdir()) == []
 
 
-@pytest.mark.parametrize("gap_bytes, read_bytes", [(0, 64), (4096, 64), (8, 1 << 20)])
-def test_batch_get_matches_per_slot(tmp_path, monkeypatch, gap_bytes, read_bytes):
-    # every slot, repeated and shuffled, plus an empty batch; small windows
-    # and gaps split the disk gather into many preads, some past one buffer
+@pytest.mark.parametrize("read_bytes", [64, 4096, 1 << 20])
+def test_batch_get_matches_per_slot(tmp_path, monkeypatch, read_bytes):
+    # every slot, repeated and shuffled, plus an empty batch; windows below
+    # the mapping granularity map spans that start before the window
     rng = np.random.default_rng(13)
     bank = planted_family_reads(rng, n_families=20, family_size=4, n_background=120)
     qd = build_bank_index(bank, 31, 1, 12)[0]
-    monkeypatch.setattr(linker, "_GAP_BYTES", gap_bytes)
     monkeypatch.setattr(linker, "_READ_BYTES", read_bytes)
     ram = ReadIdTable.build(qd, bank)
     disk = _build_disk_table(qd, bank, str(tmp_path))
@@ -605,5 +610,68 @@ def test_batch_get_matches_per_slot(tmp_path, monkeypatch, gap_bytes, read_bytes
             assert np.array_equal(got, want)
             assert len(runs) == len(want)  # the tracer notes len() as the ids looked up
             assert _ids(table, np.empty(0, dtype=np.int64)).size == 0
+    finally:
+        disk.close()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.sampled_from([0, 0, 1, 2, 5, 17, 300, 1100]), max_size=24),
+    picks=st.lists(st.integers(0, 1000), max_size=60),
+    seed=st.integers(0, 2**32 - 1),
+    read_bytes=st.sampled_from([64, 4096, 1 << 20]),
+)
+@example(sizes=[0, 0, 0], picks=[2, 0, 2], seed=0, read_bytes=4096)  # a 0-byte file
+@example(sizes=[3, 300_000, 0, 2], picks=[3, 1, 0, 1, 2], seed=1, read_bytes=1 << 20)
+def test_disk_get_matches_ram_get(sizes, picks, seed, read_bytes):
+    # blocks of ids that lie inside a window, span several (300 000 ids pass
+    # 1 MiB) or are empty; a batch of slots with repeats, and the empty batch
+    rng = np.random.default_rng(seed)
+    blocks = [rng.integers(0, 2**32, n).tolist() for n in sizes]
+    slots = np.array(picks if sizes else [], dtype=np.int64) % max(len(sizes), 1)
+    ram = _runs_table(blocks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linker, "_READ_BYTES", read_bytes)
+        disk = _write_disk_table(None, blocks)
+        try:
+            for batch in (slots, np.empty(0, dtype=np.int64)):
+                runs = disk.get(batch)
+                got = linker._gather(*runs)
+                assert got.dtype == np.uint32 and len(runs) == len(got)
+                assert np.array_equal(got, _ids(ram, batch))
+        finally:
+            disk.close()
+
+
+def test_disk_get_maps_one_window_at_a_time(tmp_path, monkeypatch):
+    # each 4 KiB window that a non-empty block starts in is one mapping of
+    # its blocks' span, rounded down to the allocation granularity, and it
+    # is unmapped before the next window is mapped
+    rng = np.random.default_rng(14)
+    qd, disk = _disk_index(random_reads(rng, 300, 100), k=31, t=1, f=12, tmp_dir=str(tmp_path))
+    monkeypatch.setattr(linker, "_READ_BYTES", 4096)
+    make, live, most, lengths = mmap.mmap, [0], [0], []
+
+    def record(*args, **kwargs):
+        mapping = make(*args, **kwargs)
+        lengths.append(len(mapping))
+        live[0] += 1
+        most[0] = max(most[0], live[0])
+        weakref.finalize(mapping, unmapped)
+        return mapping
+
+    def unmapped():
+        live[0] -= 1
+
+    try:
+        monkeypatch.setattr(linker.mmap, "mmap", record)
+        disk.get(rng.permutation(qd.n_keys))
+        lo, n = disk.offsets[:-1], np.diff(disk.offsets)
+        lo, end = 4 * lo[n > 0], 4 * (lo + n)[n > 0]
+        first = np.flatnonzero(np.diff(lo // 4096, prepend=-1))
+        spans = end[np.append(first[1:], len(lo)) - 1] - lo[first]
+        assert len(spans) > 10 and len(lengths) == len(spans)
+        assert all(got <= span + mmap.ALLOCATIONGRANULARITY for got, span in zip(lengths, spans))
+        assert most == [1] and live == [0]
     finally:
         disk.close()
