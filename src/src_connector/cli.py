@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import __version__
 from .bench import CSV_COLUMNS, DEFAULT_SIZES, run_bench
-from .counter import build_count_table, run_src_counter
+from .counter import run_src_counter
 from .kmers import DEFAULT_MEMORY_BUDGET, MAX_K
 from .linker import DEFAULT_MIN_SHARED, run_src_linker
 from .mphf import DEFAULT_GAMMA, DEFAULT_MASTER_SEED
@@ -223,7 +223,8 @@ def _check_outputs(args) -> None:
 
 
 def _build(args):
-    """Build the bank's index from the flags, each defaulted and range-checked."""
+    """The bank's index and count table (build_bank_index), from the flags, each
+    defaulted and range-checked."""
     k = args.k if args.k is not None else MAX_K
     f = _given_f(args, k, min(args.default_f, 2 * k))  # an explicit -f is not capped
     _check_k_f(k, f)
@@ -236,8 +237,8 @@ def _build(args):
 
 
 def cmd_index(args) -> int:
-    qd, solid = _build(args)
-    qd.save(args.out, build_count_table(qd, solid.codes, solid.counts))
+    qd, counts = _build(args)
+    qd.save(args.out, counts)
     return EXIT_OK
 
 
@@ -247,9 +248,7 @@ def cmd_count(args) -> int:
         if counts is None:
             raise ValueError(f"{args.index}: index carries no count table")
     else:
-        qd, solid = _build(args)
-        counts = build_count_table(qd, solid.codes, solid.counts)
-        del solid
+        qd, counts = _build(args)
     run_src_counter(qd, counts, args.query, args.out, threads=args.threads)
     return EXIT_OK
 
@@ -260,7 +259,7 @@ def cmd_link(args) -> int:
     elif not Path(args.bank).is_file():  # a pipe cannot be read twice
         raise ValueError(f"{args.bank}: link without --index reads the bank twice, so it must be a regular file")
     else:
-        qd = _build(args)[0]  # the solid set is dropped before the id table is built
+        qd = _build(args)[0]
     run_src_linker(
         qd, args.bank, args.query, args.out,
         min_shared=args.min_shared, mode=args.mode, threads=args.threads,

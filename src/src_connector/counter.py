@@ -12,11 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitpack import KEY_CHUNK
-from .quasidict import QuasiDictionary
+from .quasidict import COUNT_SATURATION, QuasiDictionary
 from .seqio import ReadBatch, ordered_map, output_file, read_batches
-
-COUNT_SATURATION = 255
 
 
 @dataclass
@@ -42,10 +39,13 @@ class AbundanceRecord:
 
 
 def build_count_table(qd: QuasiDictionary, solid_codes: np.ndarray, solid_counts: np.ndarray) -> np.ndarray:
+    """The count table of a dictionary that has none, such as one loaded
+    from an index saved without it: each code's count, saturated at
+    COUNT_SATURATION, at its slot. The table build_bank_index returns is the
+    same, filled as the MPHF is built; this queries every code, so it holds
+    an int64 slot per code."""
     counts = np.zeros(qd.n_keys, dtype=np.uint8)
-    for lo in range(0, len(solid_codes), KEY_CHUNK):
-        idx = qd.query_batch(solid_codes[lo : lo + KEY_CHUNK])
-        counts[idx] = np.minimum(solid_counts[lo : lo + KEY_CHUNK], COUNT_SATURATION)
+    counts[qd.query_batch(solid_codes)] = np.minimum(solid_counts, COUNT_SATURATION)
     return counts
 
 

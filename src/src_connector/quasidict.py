@@ -25,6 +25,7 @@ from .seqio import ReadBatch, output_file
 U64 = np.uint64
 
 NOT_INDEXED = -1
+COUNT_SATURATION = 255  # a count table's entries stop here
 MAGIC = b"QDIX0003"
 
 # magic, k, t, f, n_keys, gamma, master_seed, n_levels, n_fallback, flags,
@@ -52,6 +53,13 @@ def fingerprint_batch(codes: np.ndarray, f: int) -> np.ndarray:
     return x & U64((1 << f) - 1)
 
 
+def _fingerprints(codes: np.ndarray, f: int, exact: bool) -> np.ndarray:
+    """The f-bit fingerprint the dictionary stores for each code."""
+    if exact:
+        return codes.astype(U64, copy=False)  # raw code: injective, zero FP
+    return fingerprint_batch(codes, f)
+
+
 class QuasiDictionary:
     """Immutable after construction; safe for concurrent queries."""
 
@@ -67,11 +75,6 @@ class QuasiDictionary:
         self.n_keys = mphf.n_keys
         self.exact = f == 2 * k
 
-    def _fingerprints_of(self, codes: np.ndarray) -> np.ndarray:
-        if self.exact:
-            return codes.astype(U64, copy=False)  # raw code: injective, zero FP
-        return fingerprint_batch(codes, self.f)
-
     @classmethod
     def create(
         cls,
@@ -79,16 +82,25 @@ class QuasiDictionary:
         f: int,
         gamma: float = DEFAULT_GAMMA,
         master_seed: int = DEFAULT_MASTER_SEED,
+        count_table: np.ndarray | None = None,
     ) -> "QuasiDictionary":
+        """The dictionary of solid's k-mers. The fingerprints are allocated
+        first and filled as the MPHF build settles each k-mer (Mphf.build's
+        settle), so no k-mer is looked up again. A count_table, zeroed uint8
+        of solid.n entries, is filled in the same pass: each k-mer's count,
+        saturated at COUNT_SATURATION, at its slot."""
         if not 1 <= f <= min(2 * solid.k, 62):
             raise ValueError(f"f must be in [1, {min(2 * solid.k, 62)}] for k={solid.k}")
-        mphf = Mphf.build(solid.codes, gamma=gamma, master_seed=master_seed)
-        qd = cls(solid.k, solid.t, f, mphf, PackedArray(solid.n, f), solid.bank_digest)
-        for lo in range(0, solid.n, KEY_CHUNK):
-            part = solid.codes[lo : lo + KEY_CHUNK]
-            idx = mphf.query_batch(part)
-            qd.fingerprints.set_many(idx, qd._fingerprints_of(part))
-        return qd
+        fingerprints = PackedArray(solid.n, f)
+        exact = f == 2 * solid.k
+
+        def settle(at: np.ndarray, index: np.ndarray) -> None:
+            fingerprints.set_many(index, _fingerprints(np.take(solid.codes, at), f, exact))
+            if count_table is not None:
+                count_table[index] = np.minimum(np.take(solid.counts, at), COUNT_SATURATION)
+
+        mphf = Mphf.build(solid.codes, gamma=gamma, master_seed=master_seed, settle=settle)
+        return cls(solid.k, solid.t, f, mphf, fingerprints, solid.bank_digest)
 
     def query_batch(self, codes: np.ndarray) -> np.ndarray:
         """Slot per canonical code, NOT_INDEXED (-1) where rejected. The MPHF
@@ -101,7 +113,7 @@ class QuasiDictionary:
             if len(found) == 0:
                 continue
             stored = self.fingerprints.get_many(np.take(block, found))
-            stored ^= self._fingerprints_of(np.take(codes[lo : lo + KEY_CHUNK], found))
+            stored ^= _fingerprints(np.take(codes[lo : lo + KEY_CHUNK], found), self.f, self.exact)
             block[found[stored != 0]] = NOT_INDEXED
         return idx
 
@@ -163,14 +175,15 @@ def build_bank_index(
     master_seed: int = DEFAULT_MASTER_SEED,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
     tmp_dir: str | None = None,
-) -> tuple[QuasiDictionary, SolidKmerSet]:
-    """Count the solid k-mers of a bank (a path or a list of reads) and index them.
-
-    The solid set comes back for callers that build a count table from it;
-    others should drop it before building anything large.
-    """
+) -> tuple[QuasiDictionary, np.ndarray]:
+    """Count the solid k-mers of a bank (a path or a list of reads) and index
+    them: the dictionary and its count table (uint8, saturated at
+    COUNT_SATURATION), the pair load_index returns. Both are filled in the
+    MPHF build's one pass, and the solid set is dropped before this returns."""
     solid = count_solid_kmers(bank, k, t, memory_budget=memory_budget, tmp_dir=tmp_dir)
-    return QuasiDictionary.create(solid, f, gamma=gamma, master_seed=master_seed), solid
+    counts = np.zeros(solid.n, dtype=np.uint8)
+    qd = QuasiDictionary.create(solid, f, gamma=gamma, master_seed=master_seed, count_table=counts)
+    return qd, counts
 
 
 def load_index(path: str | Path) -> tuple[QuasiDictionary, np.ndarray | None]:

@@ -272,20 +272,54 @@ class BankDigest:
 
 @contextmanager
 def output_file(path: str | Path, mode: str = "w"):
-    """open(path, mode) for the with block. If the block, or the flush of
-    what it buffered, raises, the file is deleted when path names it as a
-    regular file, not through a symlink; a device, FIFO or link is kept, and
-    a failed delete does not replace the error."""
-    with open(path, mode) as fh:
-        try:
+    """A file object for writing path (open's mode) in the with block, so
+    that path gets the whole output or none of it.
+
+    Unless path names something other than a regular file, the output goes to
+    a new file in path's directory: one with no name (O_TMPFILE, on Linux),
+    or else a hidden temp name. Once the block and the final flush succeed,
+    the file is given a name there and renamed onto path; a run that fails,
+    or is killed, leaves path as it was, and a failed cleanup does not
+    replace the run's error. A symlink, FIFO or device, such as /dev/stdout,
+    is opened and written in place instead, and kept whatever happens."""
+    in_place = False
+    with suppress(FileNotFoundError):
+        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
+    if in_place:
+        with open(path, mode) as fh:
+            yield fh
+        return
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, temp = _new_file_in(directory)
+    try:
+        with open(fd, mode) as fh:
             yield fh
             fh.flush()
-        except BaseException:
+            if temp is None:
+                # src_dir_fd makes os.link call linkat, whose AT_SYMLINK_FOLLOW
+                # links the file /proc's link names; the absolute path ignores the fd
+                temp = _temp_name(directory)
+                os.link(f"/proc/self/fd/{fd}", temp, src_dir_fd=fd, follow_symlinks=True)
+        os.replace(temp, path)
+    except BaseException:
+        if temp is not None:
             with suppress(OSError):
-                opened, named = os.fstat(fh.fileno()), os.lstat(path)
-                if stat.S_ISREG(named.st_mode) and os.path.samestat(named, opened):
-                    os.unlink(path)
-            raise
+                os.unlink(temp)
+        raise
+
+
+def _new_file_in(directory: str) -> tuple[int, str | None]:
+    """A descriptor of a new empty file in directory, open for writing, and
+    its name: None where the system makes it with none (O_TMPFILE)."""
+    if hasattr(os, "O_TMPFILE"):
+        with suppress(OSError):  # not every file system supports it
+            return os.open(directory, os.O_TMPFILE | os.O_WRONLY, 0o666), None
+    temp = _temp_name(directory)
+    return os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666), temp
+
+
+def _temp_name(directory: str) -> str:
+    return os.path.join(directory, f".src-{os.urandom(8).hex()}.tmp")
 
 
 _work: Callable | None = None  # ordered_map's fn, in each of its worker processes

@@ -21,7 +21,7 @@ from src_connector.linker import run_src_linker
 from src_connector.mphf import NOT_FOUND, Mphf
 from src_connector.quasidict import QuasiDictionary, build_bank_index
 from src_connector.seqio import ReadBatch
-from src_connector.counter import build_count_table, run_src_counter
+from src_connector.counter import run_src_counter
 
 from _accept_workers import linker_peak_worker
 from _datagen import duplicated_reads, planted_family_reads, pool_sampled_reads, write_fasta
@@ -48,8 +48,8 @@ def _solid_from(codes: np.ndarray) -> SolidKmerSet:
 
 
 def _count(bank, query, t, f, out):
-    qd, solid = build_bank_index(bank, K, t, f)
-    run_src_counter(qd, build_count_table(qd, solid.codes, solid.counts), query, out)
+    qd, counts = build_bank_index(bank, K, t, f)
+    run_src_counter(qd, counts, query, out)
 
 
 def _link(bank, query, t, f, out, **kwargs):

@@ -332,14 +332,16 @@ def test_failed_run_keeps_non_regular_output(bank, tmp_path, monkeypatch, capsys
 
 
 def test_failed_delete_keeps_run_error(bank, tmp_path, monkeypatch, capsys):
-    # a delete that fails does not hide the error that failed the run
+    # where outputs go to named temp files (no O_TMPFILE), a delete of them
+    # that fails does not hide the error that failed the run
     path, _ = bank
     query = _truncated_query(tmp_path, monkeypatch)
     out, sidecar = tmp_path / "out.txt", tmp_path / "map.tsv"
+    monkeypatch.delattr(os, "O_TMPFILE", raising=False)
     unlink = os.unlink
 
     def refuse(name, *args, **kwargs):
-        if Path(name) in (out, sidecar):
+        if Path(name).parent == tmp_path:
             raise PermissionError(13, "Permission denied", str(name))
         return unlink(name, *args, **kwargs)
 
@@ -349,7 +351,27 @@ def test_failed_delete_keeps_run_error(bank, tmp_path, monkeypatch, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert _TRUNCATED in err and "Permission denied" not in err
-    assert out.exists() and sidecar.exists()
+    assert not out.exists() and not sidecar.exists()
+    assert len(list(tmp_path.glob(".src-*.tmp"))) == 2  # the temp files it could not delete
+
+
+@pytest.mark.parametrize("unnamed", [True, False], ids=["O_TMPFILE", "named-temp"])
+def test_output_replaces_the_path_whole(bank, tmp_path, monkeypatch, capsys, unnamed):
+    # a failed run leaves the file at -o as it was; a run that succeeds
+    # replaces it with its whole output, and leaves no other file behind
+    if not unnamed:
+        monkeypatch.delattr(os, "O_TMPFILE", raising=False)
+    path, seqs = bank
+    out = tmp_path / "out.tsv"
+    out.write_bytes(b"before")
+    before = set(tmp_path.iterdir())
+    args = ["count", "-b", str(path), "-t", "1", "--threads", "1", "-o", str(out), "-q"]
+    assert main([*args, str(_truncated_query(tmp_path, monkeypatch))]) == 2
+    assert _TRUNCATED in capsys.readouterr().err
+    assert out.read_bytes() == b"before"
+    assert main([*args, str(path)]) == 0
+    assert out.read_bytes().startswith(b"# src count") and len(_data_lines(out)) == len(seqs)
+    assert set(tmp_path.iterdir()) == before | {tmp_path / "q.fq"}
 
 
 def test_usage_error_negative_memory_budget(bank, tmp_path, capsys):
@@ -801,8 +823,25 @@ def _wait_for(proc, ready) -> None:
         time.sleep(0.002)
 
 
+def _written(pid: int, out: Path) -> int:
+    """Bytes the process has written to -o out so far. Until the run ends,
+    they are in a file with no name in out's directory: the one the process
+    has open there for writing."""
+    sizes = [0]
+    with suppress(FileNotFoundError):  # the process may end meanwhile
+        for fd in os.listdir(f"/proc/{pid}/fd"):
+            with suppress(FileNotFoundError):
+                if os.path.dirname(os.readlink(f"/proc/{pid}/fd/{fd}")) != str(out.parent):
+                    continue
+                with open(f"/proc/{pid}/fdinfo/{fd}") as fh:
+                    flags = int(next(line for line in fh if line.startswith("flags:")).split()[1], 8)
+                if flags & (os.O_WRONLY | os.O_RDWR):
+                    sizes.append(os.stat(f"/proc/{pid}/fd/{fd}").st_size)
+    return max(sizes)
+
+
 def _querying(proc, out, threads: str) -> bool:
-    started = out.exists() and out.stat().st_size > 4096
+    started = _written(proc.pid, out) > 4096
     return started and (threads == "1" or len(_children(proc.pid)) == int(threads))
 
 
@@ -920,6 +959,51 @@ def test_sigkill_leaves_no_id_table(tmp_path):
             proc.kill()
             proc.wait()
     assert list(spill.iterdir()) == []
+
+
+# runs the CLI on its arguments, and SIGKILLs itself once it has written
+# more than 4 KiB of an output and flushed them
+_KILLED_PAST_4K = """
+import contextlib, os, signal, sys
+from src_connector import cli, counter, quasidict, seqio
+
+class Dying:
+    def __init__(self, fh):
+        self.fh, self.written = fh, 0
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def write(self, data):
+        self.written += self.fh.write(data)
+        if self.written > 4096:
+            self.fh.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+@contextlib.contextmanager
+def dying_output(path, mode="w"):
+    with seqio.output_file(path, mode) as fh:
+        yield Dying(fh)
+
+counter.output_file = quasidict.output_file = dying_output
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "O_TMPFILE"), reason="needs unnamed files (O_TMPFILE)")
+@pytest.mark.parametrize("tool", ["count", "index"])
+def test_sigkill_leaves_no_partial_output(tmp_path, tool):
+    # a run killed once its output passes 4 KiB leaves no file at -o and no
+    # stray file in its directory: the output has no name until it is whole
+    bank, out = _shotgun_bank(tmp_path), tmp_path / "out"
+    args = [tool, "-b", bank, "-o", out, *(["-q", bank, "--threads", "1"] if tool == "count" else [])]
+    command = _src_command(*args)
+    command["args"][1:3] = ["-c", _KILLED_PAST_4K]  # in place of -m src_connector.cli
+    before = set(tmp_path.iterdir())
+    proc = subprocess.run(**command, capture_output=True, timeout=60)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    assert not out.exists()
+    assert set(tmp_path.iterdir()) == before
 
 
 def _limit_file_size(limit: int):

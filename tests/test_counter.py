@@ -4,9 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from src_connector import counter
+from src_connector import mphf
 from src_connector.counter import build_count_table, estimate_batch, run_src_counter
-from src_connector.kmers import SolidKmerSet, encode_reads
+from src_connector.kmers import SolidKmerSet, count_solid_kmers, encode_reads
 from src_connector.quasidict import QuasiDictionary, build_bank_index
 from src_connector.seqio import ReadBatch
 
@@ -22,8 +22,7 @@ def _row(records, i=0):
 
 
 def _count_index(bank, k, t, f):
-    qd, solid = build_bank_index(bank, k, t, f)
-    return qd, build_count_table(qd, solid.codes, solid.counts)
+    return build_bank_index(bank, k, t, f)
 
 
 def _count(bank, query, k, t, f, out_path, threads=1):
@@ -59,17 +58,33 @@ def test_count_saturation():
 
 
 def test_count_table_chunks_match_per_key(monkeypatch):
-    monkeypatch.setattr(counter, "KEY_CHUNK", 777)  # 5000 keys: six full chunks and a part
+    # the table create fills as the MPHF settles its keys, 777 at a time (5000
+    # keys: six full chunks and a part per level), is build_count_table's,
+    # which queries every key in one call; counts up to 600 saturate at 255
+    monkeypatch.setattr(mphf, "KEY_CHUNK", 777)
     rng = np.random.default_rng(9)
     codes = np.unique(rng.integers(0, 1 << 62, 5000, dtype=np.uint64))
     solid_counts = rng.integers(1, 600, len(codes)).astype(np.uint64)
     solid = SolidKmerSet(31, 1, codes, solid_counts, len(codes), bank_digest=bytes(16))
-    qd = QuasiDictionary.create(solid, 12)
-    table = build_count_table(qd, codes, solid_counts)
-    expect = np.zeros(qd.n_keys, dtype=np.uint8)
-    expect[qd.query_batch(codes)] = np.minimum(solid_counts, 255)  # all keys in one call
-    assert table.dtype == np.uint8
+    table = np.zeros(len(codes), dtype=np.uint8)
+    qd = QuasiDictionary.create(solid, 12, count_table=table)
+    expect = build_count_table(qd, codes, solid_counts)
+    assert (expect == 255).any() and ((expect > 0) & (expect < 255)).any()
     assert np.array_equal(table, expect)
+
+
+def test_bank_index_table_matches_a_queried_table():
+    # build_bank_index's table, filled as the MPHF is built, is the one
+    # build_count_table makes by querying every solid k-mer; reads repeated
+    # up to 600 times saturate some counts at 255
+    rng = np.random.default_rng(10)
+    reads = random_reads(rng, 40, 50)
+    bank = [read for read, n in zip(reads, rng.integers(1, 600, len(reads)).tolist()) for _ in range(n)]
+    qd, table = build_bank_index(bank, 31, 2, 12)
+    solid = count_solid_kmers(bank, 31, 2)
+    expect = build_count_table(qd, solid.codes, solid.counts)
+    assert (expect == 255).any() and ((expect > 0) & (expect < 255)).any()
+    assert table.dtype == np.uint8 and np.array_equal(table, expect)
 
 
 def test_read_shorter_than_k():

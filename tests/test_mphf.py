@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from src_connector.bitpack import PackedArray
+from src_connector import mphf as mphf_module
+from src_connector.bitpack import KEY_CHUNK, PackedArray
 from src_connector.mphf import (
     NOT_FOUND,
     Mphf,
@@ -87,6 +90,30 @@ def test_build_deterministic():
         assert (la.size, la.seed, la.index_offset) == (lb.size, lb.seed, lb.index_offset)
         assert (la.occupied == lb.occupied).all() and (la.collided == lb.collided).all()
     assert np.array_equal(a.fallback, b.fallback)
+
+
+@pytest.mark.parametrize("max_levels", [mphf_module.MAX_LEVELS, 2])  # 2: fallback keys
+@given(n_keys=st.integers(0, 300), chunk=st.sampled_from([1, 7, 64, KEY_CHUNK]), seed=st.integers(0, 2**32))
+@example(n_keys=0, chunk=7, seed=0)
+@example(n_keys=1, chunk=7, seed=0)
+@settings(max_examples=25, deadline=None)
+def test_settle_reports_each_key_once_with_its_query_index(max_levels, n_keys, chunk, seed):
+    # a small KEY_CHUNK makes each level span several chunks
+    keys = _random_keys(n_keys, seed)
+    reports = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mphf_module, "MAX_LEVELS", max_levels)
+        mp.setattr(mphf_module, "KEY_CHUNK", chunk)
+        m = Mphf.build(keys, settle=lambda at, index: reports.append((at.copy(), index.copy())))
+    at = np.concatenate([np.empty(0, dtype=np.int64), *(a for a, _ in reports)]).astype(np.int64)
+    index = np.concatenate([np.empty(0, dtype=np.int64), *(i for _, i in reports)])
+    assert sorted(at.tolist()) == list(range(n_keys))
+    assert index.tolist() == m.query_batch(keys)[at].tolist()
+    n_fallback = len(m.fallback)
+    level_reports = reports[: len(reports) - 1] if n_fallback else reports
+    assert all(len(a) <= chunk for a, _ in level_reports)
+    if n_fallback:  # the fallback keys come last, in key order
+        assert reports[-1][0].tolist() == np.searchsorted(keys, m.fallback).tolist()
 
 
 def test_gamma_validation():

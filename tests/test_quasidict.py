@@ -215,6 +215,23 @@ def test_query_level_walk_edge_cases(monkeypatch):
     assert qd.query_batch(probe).tolist() == want
 
 
+# f=62 at k=31 and f=10 at k=5 are exact mode: the raw code is stored
+@pytest.mark.parametrize("k,f,n", [(31, 12, 5000), (31, 62, 5000), (5, 10, 300)])
+def test_create_fills_fingerprints_as_a_query_would(monkeypatch, k, f, n):
+    # the words create fills as the MPHF settles each key, 777 keys a chunk,
+    # are those of a fill that queries every key after the build, as
+    # create did before; the fallback keys are filled too
+    monkeypatch.setattr(mphf_module, "MAX_LEVELS", 2)
+    monkeypatch.setattr(mphf_module, "KEY_CHUNK", 777)
+    solid = _random_solid(n, k=k, seed=13)
+    qd = QuasiDictionary.create(solid, f)
+    assert len(qd.mphf.fallback) > 0
+    want = PackedArray(solid.n, f)
+    values = solid.codes if qd.exact else fingerprint_batch(solid.codes, f)
+    want.set_many(qd.mphf.query_batch(solid.codes), values)
+    assert np.array_equal(qd.fingerprints.words, want.words)
+
+
 def test_payload_bits_exact():
     solid = _random_solid(12_345, seed=6)
     qd = QuasiDictionary.create(solid, 12)

@@ -49,7 +49,10 @@ def test_query_path_hooks_record_spans(tmp_path):
     write_fasta(query, bank_reads + random_reads(rng, KEY_CHUNK // 900 + 1, 1000))
     assert query.stat().st_size <= BLOCK_BYTES
     idx = tmp_path / "bank.idx"
-    _traced(tmp_path / "index.json", "index", "-b", str(bank), "-t", "1", "-o", str(idx))
+    built = _traced(tmp_path / "index.json", "index", "-b", str(bank), "-t", "1", "-o", str(idx))
+    # the build places each k-mer as the MPHF settles it, and queries nothing
+    assert built["mphf.build"] == built["quasidict.create"] == 1
+    assert built["mphf.query"] == built["quasidict.query"] == 0
     names = _traced(
         tmp_path / "count.json", "count", "--index", str(idx), "-q", str(query),
         "--threads", "1", "-o", str(tmp_path / "out.tsv"),
