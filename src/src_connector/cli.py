@@ -298,7 +298,7 @@ def _pin_malloc_thresholds() -> None:
     batch's largest temporary of one uint64 per base, is mapped and unmapped
     on free; this stops glibc's dynamic threshold from drifting up to the
     largest array ever freed. Free heap at the top is kept up to 16 MiB, above
-    a batch's whole working set of about 52 bytes per base, so each batch
+    a batch's whole working set of about 32 bytes per base, so each batch
     reuses the pages of the one before instead of faulting them in again.
     Does nothing where the C library has no mallopt (macOS, Windows)."""
     try:

@@ -37,17 +37,26 @@ def _check_k(k: int) -> None:
 
 
 def reverse_complement_batch(codes: np.ndarray, k: int) -> np.ndarray:
-    """Codes of the reverse complement sequences."""
+    """Codes of the reverse complement sequences, as a new array built in
+    place with one scratch array."""
     x = codes ^ U64((1 << (2 * k)) - 1)
-    x = ((x >> U64(2)) & _M2) | ((x & _M2) << U64(2))
-    x = ((x >> U64(4)) & _M4) | ((x & _M4) << U64(4))
-    x = x.byteswap()
-    return x >> U64(64 - 2 * k)
+    scratch = np.empty_like(x)
+    for shift, mask in ((U64(2), _M2), (U64(4), _M4)):  # swap bases, then base pairs
+        np.right_shift(x, shift, out=scratch)
+        scratch &= mask
+        x &= mask
+        x <<= shift
+        x |= scratch
+    del scratch
+    x.byteswap(inplace=True)
+    x >>= U64(64 - 2 * k)
+    return x
 
 
 def canonicalize_batch(codes: np.ndarray, k: int) -> np.ndarray:
-    """The smaller of each code and its reverse complement code."""
-    return np.minimum(codes, reverse_complement_batch(codes, k))
+    """The smaller of each code and its reverse complement code, as a new array."""
+    rc = reverse_complement_batch(codes, k)
+    return np.minimum(codes, rc, out=rc)
 
 
 def _window_codes(vals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -100,12 +109,16 @@ def encode_reads(
     without renumbering the surviving positions.
     """
     _check_k(k)
-    vals = _CODE_LUT[seq]  # the newlines are non-ACGT, so no window spans two reads
-    codes, valid = _window_codes(vals, k)
+    # the newlines are non-ACGT, so no window spans two reads
+    codes, valid = _window_codes(_CODE_LUT[seq], k)
     gvalid = np.flatnonzero(valid)
-    canon = canonicalize_batch(codes[gvalid], k)
+    del valid
+    canon = codes[gvalid]
+    del codes
+    canon = canonicalize_batch(canon, k)
     read_ptr = np.searchsorted(gvalid, offsets).astype(np.int64)
-    positions = gvalid - np.repeat(offsets[:-1], np.diff(read_ptr))
+    positions = gvalid  # batch offsets, made in-read positions in place
+    positions -= np.repeat(offsets[:-1], np.diff(read_ptr))
     return canon, positions, read_ptr
 
 
@@ -127,33 +140,41 @@ class SolidKmerSet:
 
 def _solid_runs(part: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The codes occurring >= t times in the ascending array part, their
-    counts, and the number of distinct codes in part.
+    counts, and the number of distinct codes in part. The solid codes are
+    written over the front of part, which they take as their own pages, and
+    returned as a view of it; their counts are put on a mapping of their own
+    (_put), so none of them lands in malloc's heap.
 
     part is walked in KEY_CHUNK slices. A slice's run starts come from
     comparing neighbours, its first code with the one before the slice. A
     run's count is the distance to the next start; the slice's last run may
     go on past the slice, so its end is found by one searchsorted. So no
     temporary is as long as part or as its distinct codes: each is bounded
-    by one slice. The solid codes and counts are appended to mappings of
-    their own (_put), so none of them lands in malloc's heap.
+    by one slice. Each solid code is the first of a run at or after the
+    place it is written to, so a slice's writes end at or before its own end
+    and what is still to be read is intact. No read looks at the rewritten
+    front: the code before a slice is kept from the slice before, and the
+    searchsorted looks only at part from the slice on.
     """
-    codes, counts, n = _mapping(0), _mapping(0), 0  # n solid codes put
+    counts, n = _mapping(0), 0  # n solid codes written
     n_distinct = 0
+    last = None  # the code before the slice
     for lo in range(0, len(part), KEY_CHUNK):
         block = part[lo : lo + KEY_CHUNK]
         first = np.empty(len(block) + 1, dtype=bool)  # first-of-run flags and an end mark
-        first[0] = lo == 0 or block[0] != part[lo - 1]
+        first[0] = lo == 0 or block[0] != last
         np.not_equal(block[1:], block[:-1], out=first[1:-1])
         first[-1] = True
         bounds = np.flatnonzero(first)
-        bounds[-1] = np.searchsorted(part, block[-1], side="right") - lo
+        bounds[-1] = np.searchsorted(part[lo:], block[-1], side="right")
         n_distinct += len(bounds) - 1
         lengths = np.diff(bounds)
         solid = np.flatnonzero(lengths >= t)
-        codes = _put(codes, n, block[bounds[solid]])
+        last = block[-1]
+        part[n : n + len(solid)] = block[bounds[solid]]
         counts = _put(counts, n, lengths[solid])
         n += len(solid)
-    return np.frombuffer(codes, U64, n), np.frombuffer(counts, U64, n), n_distinct
+    return part[:n], np.frombuffer(counts, U64, n), n_distinct
 
 
 # Windows has no mmap flags: its anonymous mappings are private already
@@ -191,8 +212,22 @@ def _put(buf: mmap.mmap, n: int, values: np.ndarray) -> mmap.mmap:
     return buf
 
 
+def _release_past(keys: np.ndarray, n: int) -> None:
+    """Give the pages of keys' mapping past its first n uint64 words back to
+    the system, which reads them as zeros from then on. keys is a
+    sorted_keys array, a view of its _mapping from the start. Does nothing
+    where mmap has no madvise (Windows)."""
+    mapping = keys.base.obj  # np.frombuffer's memoryview of the mapping
+    at = -(-8 * n // mmap.PAGESIZE) * mmap.PAGESIZE
+    if at < len(mapping) and hasattr(mapping, "madvise"):
+        mapping.madvise(mmap.MADV_DONTNEED, at)
+
+
 def _concatenated(parts: list[np.ndarray]) -> np.ndarray:
-    """The uint64 arrays of parts laid end to end, on a mapping of their own."""
+    """The uint64 arrays of parts laid end to end: the one part itself, or a
+    copy on a mapping of its own."""
+    if len(parts) == 1:
+        return parts[0]
     n = sum(map(len, parts))
     return np.concatenate(parts, out=np.frombuffer(_mapping(8 * n), U64, n))
 
@@ -275,15 +310,17 @@ def count_solid_kmers(
     files under tmp_dir once they pass memory_budget bytes; no spill file
     outlives the call, however it ends. So the build holds 8 bytes
     per buffered k-mer occurrence, up to memory_budget (or one spilled
-    partition), on a mapping that goes back to the system once the solid
-    k-mers are selected from it, plus per-slice temporaries: _solid_runs
-    selects the solid codes KEY_CHUNK occurrences at a time, and only the
-    solid codes and counts, 16 bytes each, are kept, on mappings of their
-    own, so they too go back to the system once the result is dropped.
+    partition), on a mapping, plus per-slice temporaries: _solid_runs
+    selects the solid codes KEY_CHUNK occurrences at a time and writes them
+    over the front of that mapping, whose other pages then go back to the
+    system, and puts their counts on a mapping of their own. So only 16
+    bytes per solid k-mer are kept, outside malloc's heap, and they go back
+    to the system once the result is dropped; spilled partitions' solid
+    codes and counts are copied into one mapping each at the end.
     Reads are encoded one read_batches batch at a time (a list is one
-    batch), so for a file the encoder's temporaries, about 52 bytes per base
-    at k = 1 and 40 at k = 31 (100 bp reads, tracemalloc), stay near
-    52 * seqio.BLOCK_BYTES unless a single read is longer.
+    batch), so for a file the encoder's temporaries, about 32 bytes per base
+    at k = 1 and 22 at k = 31 (100 bp reads, tracemalloc), stay near
+    32 * seqio.BLOCK_BYTES unless a single read is longer.
     """
     _check_k(k)
     if t < 1:
@@ -295,11 +332,11 @@ def count_solid_kmers(
         digest.update(batch.seq)
         return encode_reads(batch.seq, batch.offsets, k)[0]
 
-    solid_codes, solid_counts = [np.empty(0, dtype=U64)], [np.empty(0, dtype=U64)]
+    solid_codes, solid_counts = [], []
     n_distinct = 0
     for part in sorted_keys(map(codes, read_batches(reads)), 2 * k, memory_budget, tmp_dir):
         part_codes, part_counts, part_distinct = _solid_runs(part, t)
-        del part  # unmaps its 8 bytes per occurrence before the next part or the concatenation
+        _release_past(part, len(part_codes))  # keeps the solid codes' pages alone
         solid_codes.append(part_codes)
         solid_counts.append(part_counts)
         n_distinct += part_distinct

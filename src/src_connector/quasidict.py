@@ -9,7 +9,6 @@ With f = 2k the fingerprint is the raw code itself, which is injective, so
 false positives are impossible (exact mode).
 """
 
-import hashlib
 import math
 import struct
 from functools import partial
@@ -20,7 +19,7 @@ import numpy as np
 from .bitpack import KEY_CHUNK, WORD_BITS, PackedArray
 from .kmers import DEFAULT_MEMORY_BUDGET, MAX_K, SolidKmerSet, count_solid_kmers, encode_reads
 from .mphf import DEFAULT_GAMMA, DEFAULT_MASTER_SEED, Mphf
-from .seqio import ReadBatch, output_file
+from .seqio import ReadBatch, blake2b, output_file
 
 U64 = np.uint64
 
@@ -157,7 +156,7 @@ class QuasiDictionary:
         sections += [mphf.fallback, self.fingerprints.words]
         if counts is not None:
             sections.append(counts)
-        checksum = hashlib.blake2b(head, digest_size=16)
+        checksum = blake2b(head, digest_size=16)
         for section in sections:
             checksum.update(section)
         with output_file(path, "wb") as fh:  # a failed write leaves no file
@@ -242,7 +241,7 @@ def load_index(path: str | Path) -> tuple[QuasiDictionary, np.ndarray | None]:
     if mphf.n_keys != n_keys:
         raise IndexFormatError(f"corrupt index file: {n_keys} keys in the header, {mphf.n_keys} in the MPHF")
     view = memoryview(data)
-    actual = hashlib.blake2b(view[:_CHECKSUM_AT], digest_size=16)
+    actual = blake2b(view[:_CHECKSUM_AT], digest_size=16)
     actual.update(view[_HEADER.size :])
     if actual.digest() != checksum:
         raise IndexFormatError("corrupt index file: checksum mismatch")

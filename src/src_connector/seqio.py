@@ -5,7 +5,6 @@ inline or on worker processes forked once their index is built, and the
 output files they write."""
 
 import gzip
-import hashlib
 import os
 import signal
 import stat
@@ -16,6 +15,13 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
+
+try:
+    # CPython's own blake2b; hashlib's import maps OpenSSL's libcrypto, which
+    # adds 3.4-3.6 MiB to every process and is used for nothing else
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 GZIP_MAGIC = b"\x1f\x8b"
 # the one bound on a batch: a parsing step views this many bytes of the file
@@ -260,7 +266,7 @@ class BankDigest:
     digest of a bank does not depend on how its reads are batched."""
 
     def __init__(self):
-        self._hash = hashlib.blake2b(digest_size=16)
+        self._hash = blake2b(digest_size=16)
 
     def update(self, seq: np.ndarray) -> None:
         """Add a ReadBatch's seq column, which ends every read with a newline."""

@@ -29,7 +29,7 @@ def rss_around_counting_worker(bank_path: str, k: int, mmap_threshold: int = 0) 
     it, as its dynamic rule leaves them once a library caller has freed an
     array of that size: smaller arrays then land in the heap, which keeps up
     to the trim threshold of free pages at its top. Reads are then parsed in
-    16 KiB blocks, so the encoder's heap temporaries, about 52 bytes per
+    16 KiB blocks, so the encoder's heap temporaries, about 32 bytes per
     base of a block, stay under 1 MiB, and what the heap keeps is not theirs.
     """
     from src_connector.kmers import count_solid_kmers

@@ -1,5 +1,6 @@
 import mmap
 import os
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -237,6 +238,40 @@ def test_solid_runs_memory_is_per_slice(t):
     assert (counts == 256).all()
 
 
+def _runs_part(rng, n_runs, max_len):
+    """An ascending uint64 part of n_runs distinct codes, each repeated 1 to max_len times."""
+    codes = np.cumsum(rng.integers(1, 1 << 40, n_runs, dtype=np.int64)).astype(U64)
+    return np.repeat(codes, rng.integers(1, max_len + 1, n_runs))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_solid_runs_overwrite_part_in_place(monkeypatch, chunk, t):
+    # the solid codes are written over the front of part while it is read:
+    # runs of up to 9 codes cross slice edges, and a part of distinct codes
+    # at t = 1 puts each slice's writes right behind the read position
+    monkeypatch.setattr(kmers, "KEY_CHUNK", chunk)
+    rng = np.random.default_rng(chunk * 10 + t)
+    for part in (_runs_part(rng, 300, 9), _runs_part(rng, 300, 1), np.repeat(U64(5), 20), np.empty(0, U64)):
+        uniq, counts = np.unique(part, return_counts=True)
+        keep = counts >= t
+        codes, solid_counts, n_distinct = _solid_runs(part.copy(), t)
+        assert codes.tolist() == uniq[keep].tolist()
+        assert solid_counts.tolist() == counts[keep].tolist()
+        assert n_distinct == len(uniq)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="released pages read as zeros on Linux")
+def test_release_past_keeps_the_front():
+    buf = kmers._mapping(5 * mmap.PAGESIZE)
+    keys = np.frombuffer(buf, U64)
+    keys[:] = np.arange(1, len(keys) + 1, dtype=U64)
+    n = mmap.PAGESIZE // 8 + 3  # the front ends inside the second page
+    kmers._release_past(keys, n)
+    assert keys[: 2 * mmap.PAGESIZE // 8].tolist() == list(range(1, 2 * mmap.PAGESIZE // 8 + 1))
+    assert not keys[2 * mmap.PAGESIZE // 8 :].any()  # released pages read as zeros
+
+
 def test_spill_removed_when_selection_fails(tmp_path, monkeypatch, spill_files):
     # the solid selection raises on the second spilled partition
     bank = tmp_path / "bank.fa"
@@ -389,6 +424,34 @@ def test_encode_batch_matches_oracle(k):
         long[i] = "N"
     seqs.append("".join(long))
     canon, positions, ptr = _encode(seqs, k)
+    assert ptr[0] == 0 and ptr[-1] == len(canon) == len(positions)
+    for r, seq in enumerate(seqs):
+        lo, hi = ptr[r], ptr[r + 1]
+        got = list(zip(positions[lo:hi].tolist(), canon[lo:hi].tolist()))
+        assert got == [(i, code_of(kmer)) for i, kmer in kmer_windows(seq, k)], (k, r)
+
+
+@pytest.mark.parametrize("k", [1, 5, 21, 31])
+def test_encode_block_is_lean(k):
+    """One parse block of 100 bp reads, some with non-ACGT bases and some
+    shorter than k, encodes to the oracle's windows, and at k = 31 the
+    encoder's temporaries peak under 24 bytes per base (tracemalloc)."""
+    rng = np.random.default_rng(k)
+    seqs = random_reads(rng, seqio.BLOCK_BYTES // 101, 100)
+    for r in rng.integers(0, len(seqs), 40).tolist():
+        i = int(rng.integers(0, 100))
+        seqs[r] = seqs[r][:i] + "NRx-"[r % 4] + seqs[r][i + 1 :]
+    for r in rng.integers(0, len(seqs), 20).tolist():
+        seqs[r] = seqs[r][: max(0, k - 1 - r % 3)]
+    batch = ReadBatch.from_strings(seqs)
+    tracemalloc.start()
+    try:
+        canon, positions, ptr = encode_reads(batch.seq, batch.offsets, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if k == 31:
+        assert peak < 24 * sum(map(len, seqs)), peak
     assert ptr[0] == 0 and ptr[-1] == len(canon) == len(positions)
     for r, seq in enumerate(seqs):
         lo, hi = ptr[r], ptr[r + 1]
